@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/store"
+	"repro/internal/tracefile"
+	"repro/internal/workloads"
 )
 
 // diskRunner returns a runner persisting to dir through the resilient
@@ -246,5 +249,117 @@ func TestStageDocRoundTrip(t *testing.T) {
 	back, _ := json.Marshal(v)
 	if string(orig) != string(back) {
 		t.Errorf("profile stage value did not round-trip:\n%s\nvs\n%s", orig, back)
+	}
+}
+
+// captureSmall records smallSpec's workload the way the trace stage
+// does.
+func captureSmall(t *testing.T) *tracefile.Trace {
+	t.Helper()
+	n, err := smallSpec().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.Build(n.Workload, n.buildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracefile.Capture(w, tracefile.Meta{Workload: n.Workload, Scale: n.Scale, Seed: n.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestTraceStageDocIsTheContainer pins the trace document: it is the
+// trace's own CMTR container, handed to the stores without a copy or an
+// allocation, and it decodes back to the same trace.
+func TestTraceStageDocIsTheContainer(t *testing.T) {
+	tr := captureSmall(t)
+	var doc []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if doc, err = encodeStage(stageTrace, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("encoding a trace stage allocates %v times, want 0", allocs)
+	}
+	if len(doc) != tr.Size() || &doc[0] != &tr.Bytes()[0] {
+		t.Error("the trace document must be t.Bytes() itself")
+	}
+	v, err := decodeStage(stageTrace, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back := v.(*tracefile.Trace); back.Totals != tr.Totals {
+		t.Errorf("decoded trace totals %+v, want %+v", back.Totals, tr.Totals)
+	}
+}
+
+// TestLegacyTraceEnvelopeRecaptures covers a store written before trace
+// documents became raw containers: a trace record of base64 inside the
+// JSON envelope reads as a miss, is recaptured once and overwritten
+// with the container, and the scenario's result does not change.
+func TestLegacyTraceEnvelopeRecaptures(t *testing.T) {
+	dir := t.TempDir()
+	n, err := smallSpec().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := stageTrace + "|" + traceStageKey(n)
+	tr := captureSmall(t)
+	data, err := json.Marshal(tr.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(stageDoc{Version: 1, Kind: stageTrace, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(legacy), `{"v":1,"kind":"trace","data":"Q01UUg`) {
+		t.Fatalf("not a legacy trace record: %.40s", legacy)
+	}
+	ds, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Put(key, legacy); err != nil {
+		t.Fatal(err)
+	}
+	ds.Close()
+
+	rn := diskRunner(t, 1, dir)
+	res, err := rn.Run(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn.Close()
+	if st := rn.Stats(); st.TraceRuns != 1 || st.StoreErrors != 1 || st.Quarantined != 0 {
+		t.Errorf("a legacy trace record must read as one miss and one recapture, got %+v", st)
+	}
+
+	ds, err = store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	rec, err := ds.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec, tr.Bytes()) {
+		t.Errorf("the legacy record was not overwritten with the container (%d bytes, starts %.8q)", len(rec), rec)
+	}
+
+	clean, err := NewRunner(1).Run(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(res)
+	b, _ := json.Marshal(clean)
+	if string(a) != string(b) {
+		t.Errorf("result over a legacy store differs from a clean run\n%s\nvs\n%s", a, b)
 	}
 }

@@ -10,18 +10,25 @@ import (
 	"repro/internal/tracefile"
 )
 
-// Stage results are persisted as versioned documents: a small envelope
-// naming the stage kind and wire version around the stage value's
-// canonical JSON. The envelope travels through any store.Store — the
-// in-memory LRU and the on-disk CAS hold exactly the same bytes, so a
-// result computed by one process is byte-identical to the same result
-// reloaded by another (encoding/json round-trips float64 exactly and
-// orders map keys deterministically).
+// Stage results are persisted as versioned documents that travel
+// through any store.Store — the in-memory LRU and the on-disk CAS hold
+// exactly the same bytes, so a result computed by one process is
+// byte-identical to the same result reloaded by another.
 //
-// StageDocVersion is bumped on any incompatible change to the stage
-// value types below; documents of another version decode with an error,
-// which the runner treats as a miss — old records are recomputed and
-// overwritten, never misread.
+// Profile, optimize and run results are a small JSON envelope naming
+// the stage kind and wire version around the stage value's canonical
+// JSON (encoding/json round-trips float64 exactly and orders map keys
+// deterministically). StageDocVersion is bumped on any incompatible
+// change to those value types; documents of another version decode
+// with an error, which the runner treats as a miss — old records are
+// recomputed and overwritten, never misread.
+//
+// A trace document is the trace's CMTR container itself, the bytes
+// tracefile.Decode reads: it carries its own magic, format version and
+// CRC-32C, and the memory store shares the one buffer with the decoded
+// *tracefile.Trace. A trace record from before this layout (base64
+// inside the JSON envelope) fails the magic check, reads as a miss and
+// is recaptured and overwritten once.
 const StageDocVersion = 1
 
 // stageDoc is the persisted stage-result envelope.
@@ -33,21 +40,17 @@ type stageDoc struct {
 
 // encodeStage serializes one completed stage value ([]profile.Curve,
 // *core.OptimizeResult, *core.Result or *tracefile.Trace, per kind)
-// into its document. A trace is persisted as its own self-validating
-// CMTR container (base64 inside the JSON envelope), not as a JSON view
-// of the struct — the wire golden in internal/tracefile pins it.
+// into its document. A trace's document is t.Bytes(), not a copy; the
+// wire golden in internal/tracefile pins it.
 func encodeStage(kind string, v interface{}) ([]byte, error) {
-	var data []byte
-	var err error
 	if kind == stageTrace {
 		t, ok := v.(*tracefile.Trace)
 		if !ok {
 			return nil, fmt.Errorf("scenario: encoding trace stage: unexpected value %T", v)
 		}
-		data, err = json.Marshal(t.Bytes())
-	} else {
-		data, err = json.Marshal(v)
+		return t.Bytes(), nil
 	}
+	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: encoding %s stage: %w", kind, err)
 	}
@@ -59,10 +62,24 @@ func encodeStage(kind string, v interface{}) ([]byte, error) {
 }
 
 // decodeStage deserializes a stage document back into the live value
-// the memo serves. The kind and version must match: a version or kind
-// mismatch is an error the runner treats as a cache miss, not as
-// corruption (the store layer already verified the bytes' integrity).
+// the memo serves. An envelope's kind and version must match, and a
+// trace document must decode as a CMTR container: any mismatch is an
+// error the runner treats as a cache miss, not as corruption (the store
+// layer already verified the bytes' integrity).
 func decodeStage(kind string, b []byte) (interface{}, error) {
+	if kind == stageTrace {
+		// The injection point makes corrupt-trace handling provable: an
+		// injected error here must read as a miss and recapture, exactly
+		// like a real CRC failure below.
+		if err := faults.Point(faults.SiteTraceRead); err != nil {
+			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
+		}
+		t, err := tracefile.Decode(b)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
+		}
+		return t, nil
+	}
 	var doc stageDoc
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
@@ -93,22 +110,6 @@ func decodeStage(kind string, b []byte) (interface{}, error) {
 			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
 		}
 		v = res
-	case stageTrace:
-		// The injection point makes corrupt-trace handling provable: an
-		// injected error here must read as a miss and recapture, exactly
-		// like a real CRC failure below.
-		if err := faults.Point(faults.SiteTraceRead); err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		var raw []byte
-		if err := json.Unmarshal(doc.Data, &raw); err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		t, err := tracefile.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		v = t
 	default:
 		return nil, fmt.Errorf("scenario: unknown stage kind %q", kind)
 	}

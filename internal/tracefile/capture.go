@@ -12,12 +12,27 @@ import (
 	"repro/internal/trace"
 )
 
+// Recorded streams are held in chunks: the first holds firstChunk
+// bytes, each next one twice the previous, up to maxChunk. A stream
+// grows by adding a chunk and is never copied while recording, so a
+// task's chunks total at most its stream, one chunk, and a partial
+// event record's worth of slack per chunk; assemble then copies each
+// byte once, straight into the container.
+const (
+	firstChunk = 4 << 10
+	maxChunk   = 1 << 20
+	// maxEvent bounds one encoded event record: an opcode and up to
+	// three varint operands.
+	maxEvent = 1 + 3*binary.MaxVarintLen64
+)
+
 // taskRecorder accumulates one task's encoded event stream. It
 // implements kpn.Recorder; the kpn layer guarantees calls arrive in the
 // task's program order with FIFO-internal traffic suppressed.
 type taskRecorder struct {
 	fifos  map[*kpn.FIFO]int
-	buf    []byte
+	chunks [][]byte // sealed chunks, in stream order
+	buf    []byte   // the chunk being filled
 	events uint64
 	instrs uint64
 	prev   uint64
@@ -30,18 +45,25 @@ func (r *taskRecorder) fail(err error) {
 	}
 }
 
-// reserve guarantees room for one maximal event record. Paper-scale
-// streams reach tens of megabytes; explicit doubling keeps total realloc
-// copy traffic at ~1x the final size, where append's large-slice growth
-// factor would make it ~4x.
+// reserve guarantees room in buf for one maximal event record, sealing
+// the current chunk and starting the next when it has less.
 func (r *taskRecorder) reserve() {
-	const maxEvent = 1 + 3*binary.MaxVarintLen64
 	if cap(r.buf)-len(r.buf) >= maxEvent {
 		return
 	}
-	next := make([]byte, len(r.buf), max(4096, 2*cap(r.buf)))
-	copy(next, r.buf)
-	r.buf = next
+	if cap(r.buf) > 0 {
+		r.chunks = append(r.chunks, r.buf)
+	}
+	r.buf = make([]byte, 0, min(maxChunk, max(firstChunk, 2*cap(r.buf))))
+}
+
+// size returns the recorded stream's length in bytes.
+func (r *taskRecorder) size() int {
+	n := len(r.buf)
+	for _, c := range r.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 func (r *taskRecorder) RecordExec(n uint64) {
@@ -147,6 +169,16 @@ func Capture(w core.Workload, meta Meta) (*Trace, error) {
 // order), and FIFO data flow is deterministic by Kahn semantics, so the
 // same streams emerge under any fair schedule and any memory timing.
 func CaptureApp(app *core.App, meta Meta) (*Trace, error) {
+	recs, err := record(app)
+	if err != nil {
+		return nil, err
+	}
+	return encodeApp(app, recs, meta)
+}
+
+// record runs app to completion under capture and returns each task's
+// recorder.
+func record(app *core.App) ([]*taskRecorder, error) {
 	fifoIdx := make(map[*kpn.FIFO]int, len(app.FIFOs))
 	for i, f := range app.FIFOs {
 		fifoIdx[f] = i
@@ -207,7 +239,7 @@ func CaptureApp(app *core.App, meta Meta) (*Trace, error) {
 			return nil, fmt.Errorf("tracefile: capturing %q task %q: %w", app.Name, app.Tasks[i].Proc.Name, rec.err)
 		}
 	}
-	return encodeApp(app, recs, meta)
+	return recs, nil
 }
 
 // encodeApp assembles the container from the finished app's topology and
@@ -256,12 +288,12 @@ func encodeApp(app *core.App, recs []*taskRecorder, meta Meta) (*Trace, error) {
 	for _, b := range app.Buffers {
 		h.Buffers = append(h.Buffers, int(b.ID))
 	}
-	streams := make([][]byte, len(recs))
-	for i, rec := range recs {
-		streams[i] = rec.buf
-		h.Streams = append(h.Streams, StreamInfo{Events: rec.events, Bytes: uint64(len(rec.buf))})
+	var payload [][]byte
+	for _, rec := range recs {
+		payload = append(append(payload, rec.chunks...), rec.buf)
+		h.Streams = append(h.Streams, StreamInfo{Events: rec.events, Bytes: uint64(rec.size())})
 		h.Events += rec.events
 		h.Instrs += rec.instrs
 	}
-	return assemble(h, streams)
+	return assemble(h, payload)
 }

@@ -104,17 +104,13 @@ func replayUvarint(data []byte, pos int) (uint64, int) {
 // replayVarint is replayUvarint with zigzag decoding.
 func replayVarint(data []byte, pos int) (int64, int) {
 	u, n := replayUvarint(data, pos)
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v, n
+	return zigzag(u), n
 }
 
 // replayBody returns a task body that interprets one recorded stream.
 // This is the hot loop of every warm (trace-hit) profiling or execution
 // run, decoding tens of millions of events per paper-scale app, so it
-// decodes inline instead of going through the generic walker: the
+// decodes inline instead of through a generic event decoder: the
 // stream was fully validated at decode time, which lets the loop skip
 // per-event error handling and bounds rechecks (corruption panics,
 // surfacing as a task failure). The differential replay ≡ live tests

@@ -287,108 +287,6 @@ func (h *Header) validate() error {
 	return nil
 }
 
-// event is one decoded stream event.
-type event struct {
-	op     byte
-	n      uint64 // exec count / bulk length
-	region int
-	addr   uint64 // absolute word-access address
-	off    uint64 // bulk offset
-	fifo   int
-}
-
-// walker decodes one event stream sequentially, tracking the delta base.
-// It validates framing (opcodes, varints, table indices); deep semantic
-// bounds are the caller's job.
-type walker struct {
-	data    []byte
-	pos     int
-	prev    uint64
-	regions int
-	fifos   int
-}
-
-func (w *walker) more() bool { return w.pos < len(w.data) }
-
-func (w *walker) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(w.data[w.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d", w.pos)
-	}
-	w.pos += n
-	return v, nil
-}
-
-func (w *walker) svarint() (int64, error) {
-	v, n := binary.Varint(w.data[w.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("tracefile: bad varint at stream offset %d", w.pos)
-	}
-	w.pos += n
-	return v, nil
-}
-
-func (w *walker) next() (event, error) {
-	var ev event
-	ev.op = w.data[w.pos]
-	w.pos++
-	switch ev.op {
-	case evExec:
-		n, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if n > maxExecRun {
-			return ev, fmt.Errorf("tracefile: exec run of %d instructions out of range", n)
-		}
-		ev.n = n
-	case evRead4, evWrite4, evRead1, evWrite1:
-		r, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if r >= uint64(w.regions) {
-			return ev, fmt.Errorf("tracefile: access references region %d of %d", r, w.regions)
-		}
-		d, err := w.svarint()
-		if err != nil {
-			return ev, err
-		}
-		ev.region = int(r)
-		ev.addr = uint64(int64(w.prev) + d)
-		w.prev = ev.addr
-	case evBulkRead, evBulkWrite:
-		r, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if r >= uint64(w.regions) {
-			return ev, fmt.Errorf("tracefile: bulk references region %d of %d", r, w.regions)
-		}
-		off, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		n, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		ev.region, ev.off, ev.n = int(r), off, n
-	case evFifoWrite, evFifoRdOK, evFifoRdEOF, evFifoClose:
-		f, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if f >= uint64(w.fifos) {
-			return ev, fmt.Errorf("tracefile: fifo event references fifo %d of %d", f, w.fifos)
-		}
-		ev.fifo = int(f)
-	default:
-		return ev, fmt.Errorf("tracefile: unknown opcode %#x at stream offset %d", ev.op, w.pos-1)
-	}
-	return ev, nil
-}
-
 // accessClass maps a word-access opcode back to (op, size).
 func accessClass(op byte) (trace.Op, uint8) {
 	switch op {
@@ -403,42 +301,135 @@ func accessClass(op byte) (trace.Op, uint8) {
 	}
 }
 
-// validateStreams walks every stream, checking deep bounds (addresses
-// and bulk ranges inside their regions) and the header's event/instr
-// totals, and accumulates Totals. No allocation is proportional to any
-// count declared in the header.
+// uvarintAt decodes the uvarint at data[pos:], with fast paths for the
+// 1- and 2-byte encodings that dominate real traces (region indices and
+// small address deltas). It has binary.Uvarint's contract, non-minimal
+// encodings included: n <= 0 means the varint is truncated or overflows
+// 64 bits. replayUvarint keeps its own copy of the fast paths: calling
+// this from it would cost replay, the hotter loop, a call per varint.
+func uvarintAt(data []byte, pos int) (v uint64, n int) {
+	if pos+1 < len(data) {
+		b0, b1 := data[pos], data[pos+1]
+		if b0 < 0x80 {
+			return uint64(b0), 1
+		}
+		if b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		}
+	}
+	return binary.Uvarint(data[pos:])
+}
+
+// zigzag maps a uvarint to the signed value binary.Varint decodes.
+func zigzag(u uint64) int64 {
+	if u&1 != 0 {
+		return ^int64(u >> 1)
+	}
+	return int64(u >> 1)
+}
+
+// validateStreams walks every stream, checking framing (opcodes,
+// varints, region and fifo indices), deep bounds (addresses and bulk
+// ranges inside their regions) and the header's event/instr totals,
+// and accumulates Totals. No allocation is proportional to any count
+// declared in the header.
+//
+// Decode runs this over every event of every trace it hands out, so it
+// decodes inline, like replayBody: 1- and 2-byte varint fast paths and
+// flat per-region bounds instead of a per-event struct. The
+// differential fuzz target pins it, error for error, to a generic
+// one-event-at-a-time reference decoder.
 func (t *Trace) validateStreams() error {
 	h := &t.Header
+	nregions, nfifos := uint64(len(h.Regions)), uint64(len(h.FIFOs))
+	// A word access of size s at addr lies in region r iff
+	// base[r] <= addr <= limit[r]-s. limit-s cannot underflow (regions
+	// start at or above addressSpaceBase), and the form also rejects an
+	// address whose addr+s would wrap past 2^64.
+	base := make([]uint64, len(h.Regions))
+	limit := make([]uint64, len(h.Regions))
+	for i, ri := range h.Regions {
+		base[i], limit[i] = ri.Base, ri.Base+ri.Size
+	}
 	var tot Totals
-	for si, stream := range t.streams {
-		w := walker{data: stream, regions: len(h.Regions), fifos: len(h.FIFOs)}
-		var events uint64
-		for w.more() {
-			ev, err := w.next()
-			if err != nil {
-				return fmt.Errorf("%w (task %q)", err, h.Tasks[si].Name)
-			}
-			events++
-			switch ev.op {
+	for si, s := range t.streams {
+		var events, prev uint64
+		for pos := 0; pos < len(s); {
+			op := s[pos]
+			pos++
+			switch op {
 			case evExec:
-				tot.Instrs += ev.n
+				n, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad uvarint at stream offset %d", pos)
+				}
+				pos += sz
+				if n > maxExecRun {
+					return t.streamErr(si, "exec run of %d instructions out of range", n)
+				}
+				tot.Instrs += n
 			case evRead4, evWrite4, evRead1, evWrite1:
-				_, size := accessClass(ev.op)
-				ri := h.Regions[ev.region]
-				if ev.addr < ri.Base || ev.addr+uint64(size) > ri.Base+ri.Size {
-					return fmt.Errorf("tracefile: task %q: access at %#x outside region %q", h.Tasks[si].Name, ev.addr, ri.Name)
+				r, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad uvarint at stream offset %d", pos)
+				}
+				pos += sz
+				if r >= nregions {
+					return t.streamErr(si, "access references region %d of %d", r, nregions)
+				}
+				d, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad varint at stream offset %d", pos)
+				}
+				pos += sz
+				addr := prev + uint64(zigzag(d))
+				prev = addr
+				size := uint64(4)
+				if op >= evRead1 {
+					size = 1
+				}
+				if addr < base[r] || addr > limit[r]-size {
+					return fmt.Errorf("tracefile: task %q: access at %#x outside region %q", h.Tasks[si].Name, addr, h.Regions[r].Name)
 				}
 				tot.Accesses++
 			case evBulkRead, evBulkWrite:
-				ri := h.Regions[ev.region]
-				if ev.n == 0 || ev.off+ev.n < ev.off || ev.off+ev.n > ri.Size {
-					return fmt.Errorf("tracefile: task %q: bulk %d@%d outside region %q", h.Tasks[si].Name, ev.n, ev.off, ri.Name)
+				r, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad uvarint at stream offset %d", pos)
+				}
+				pos += sz
+				if r >= nregions {
+					return t.streamErr(si, "bulk references region %d of %d", r, nregions)
+				}
+				off, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad uvarint at stream offset %d", pos)
+				}
+				pos += sz
+				n, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad uvarint at stream offset %d", pos)
+				}
+				pos += sz
+				if size := limit[r] - base[r]; n == 0 || off+n < off || off+n > size {
+					return fmt.Errorf("tracefile: task %q: bulk %d@%d outside region %q", h.Tasks[si].Name, n, off, h.Regions[r].Name)
 				}
 				tot.BulkOps++
-				tot.BulkBytes += ev.n
-			default:
+				tot.BulkBytes += n
+			case evFifoWrite, evFifoRdOK, evFifoRdEOF, evFifoClose:
+				f, sz := uvarintAt(s, pos)
+				if sz <= 0 {
+					return t.streamErr(si, "bad uvarint at stream offset %d", pos)
+				}
+				pos += sz
+				if f >= nfifos {
+					return t.streamErr(si, "fifo event references fifo %d of %d", f, nfifos)
+				}
 				tot.FIFOOps++
+			default:
+				return t.streamErr(si, "unknown opcode %#x at stream offset %d", op, pos-1)
 			}
+			events++
 		}
 		if events != h.Streams[si].Events {
 			return fmt.Errorf("tracefile: task %q: %d events, header declares %d", h.Tasks[si].Name, events, h.Streams[si].Events)
@@ -453,6 +444,11 @@ func (t *Trace) validateStreams() error {
 	}
 	t.Totals = tot
 	return nil
+}
+
+// streamErr reports a framing error in task si's stream.
+func (t *Trace) streamErr(si int, format string, args ...any) error {
+	return fmt.Errorf("tracefile: "+format+" (task %q)", append(args, t.Header.Tasks[si].Name)...)
 }
 
 // Decode parses and fully validates an encoded trace container. The
@@ -508,17 +504,18 @@ func Decode(data []byte) (*Trace, error) {
 	return t, nil
 }
 
-// assemble encodes a header and streams into a container and round-trips
-// it through Decode, so every trace ever handed out has passed full
-// validation.
-func assemble(h Header, streams [][]byte) (*Trace, error) {
+// assemble encodes a header and a payload — the task streams in task
+// order, given as consecutive pieces — into a container, copying each
+// piece once, and round-trips it through Decode, so every trace ever
+// handed out has passed full validation.
+func assemble(h Header, payload [][]byte) (*Trace, error) {
 	hb, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("tracefile: encoding header: %w", err)
 	}
 	total := frameLen + len(hb)
-	for _, s := range streams {
-		total += len(s)
+	for _, p := range payload {
+		total += len(p)
 	}
 	total += trailerLen
 	buf := make([]byte, 0, total)
@@ -527,8 +524,8 @@ func assemble(h Header, streams [][]byte) (*Trace, error) {
 	buf = binary.BigEndian.AppendUint16(buf, 0)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hb)))
 	buf = append(buf, hb...)
-	for _, s := range streams {
-		buf = append(buf, s...)
+	for _, p := range payload {
+		buf = append(buf, p...)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return Decode(buf)

@@ -3,6 +3,7 @@ package tracefile
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -195,5 +196,57 @@ func TestRegisterWorkload(t *testing.T) {
 	}
 	if app.Name != "mini" {
 		t.Fatalf("app name = %q", app.Name)
+	}
+}
+
+// TestRecorderChunkBytes guards the recorder's memory. A stream grows
+// by whole chunks and is never copied: a chunk is sealed only when it
+// cannot take another event record, and the chunks of all tasks total
+// at most the streams plus one chunk per task.
+func TestRecorderChunkBytes(t *testing.T) {
+	w, err := workloads.Build("2jpeg+canny", workloads.BuildConfig{Scale: workloads.Small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := w.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := record(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total, held int
+	for i, rec := range recs {
+		for j, c := range rec.chunks {
+			if cap(c)-len(c) >= maxEvent {
+				t.Errorf("task %d chunk %d was sealed with %d of %d bytes used", i, j, len(c), cap(c))
+			}
+			held += cap(c)
+		}
+		held += cap(rec.buf)
+		total += rec.size()
+	}
+	if limit := total + len(recs)*maxChunk; held > limit {
+		t.Errorf("%d tasks hold %d chunk bytes for %d stream bytes, over the %d limit", len(recs), held, total, limit)
+	}
+
+	// Allocation, not just retention: recording a stream several chunks
+	// long allocates the stream plus at most one chunk and the chunk
+	// list.
+	r := &taskRecorder{}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := uint64(0); i < 1<<20; i++ {
+		r.RecordExec(i)
+	}
+	runtime.ReadMemStats(&m1)
+	size := r.size()
+	if size <= 2*maxChunk {
+		t.Fatalf("test stream of %d bytes is too short to span several chunks", size)
+	}
+	if alloc := int(m1.TotalAlloc - m0.TotalAlloc); alloc > size+maxChunk+64<<10 {
+		t.Errorf("recording %d bytes allocated %d", size, alloc)
 	}
 }
