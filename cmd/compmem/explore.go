@@ -30,6 +30,9 @@ func runExplore(cfg experiments.Config, args []string, asJSON bool) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := expectNoArgs("explore", fs.Args()); err != nil {
+		return err
+	}
 
 	var ex explore.Explore
 	switch {

@@ -22,11 +22,7 @@
 //	split     task-unified vs split instruction/data partitions (X4)
 //	migration schedule sensitivity under task migration (X5)
 //	curves    dump the profiled per-entity miss curves m_i(z_p)
-//	bench     time the execution-engine stages (-json for bench.json output)
-//	benchdiff compare two bench JSON reports; warn on regressions:
-//	          benchdiff [-threshold PCT] [-strict] baseline.json current.json
-//	          (-strict exits non-zero on any regression; the default stays annotate-only)
-//	all       everything above except bench
+//	all       everything above except curves
 //	trace     record, inspect and replay access-stream traces:
 //	          trace record -workload NAME [-scale small|paper] [-seed N] [-o file.ctr]
 //	          trace info file.ctr | trace replay [-verify=false] file.ctr
@@ -87,12 +83,11 @@ func main() {
 	engine := flag.String("engine", "stackdist", "profiling engine: stackdist or bank")
 	exec := flag.String("exec", "merged", "execution engine: merged (exact line-merged fast path) or word (reference oracle)")
 	workers := flag.Int("workers", 0, "harness worker pool size; 0 = GOMAXPROCS, 1 = sequential")
-	benchN := flag.Int("benchn", 3, "iterations per stage for the bench command (best is reported)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON envelopes on stdout")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the command to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: compmem [flags] table1|table2|fig2|fig3|headline|compose|granularity|split|migration|assign|curves|bench|benchdiff|all|trace|run|sweep|explore|serve|scenarios\n")
+		fmt.Fprintf(os.Stderr, "usage: compmem [flags] table1|table2|fig2|fig3|headline|compose|granularity|split|migration|assign|curves|all|trace|run|sweep|explore|serve|scenarios\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -128,13 +123,6 @@ func main() {
 
 	cmd, rest := flag.Arg(0), flag.Args()[1:]
 	switch cmd {
-	case "bench":
-		err = expectNoArgs(cmd, rest)
-		if err == nil {
-			err = runBench(cfg, *benchN, *asJSON)
-		}
-	case "benchdiff":
-		err = runBenchDiff(rest)
 	case "trace":
 		err = runTrace(cfg, rest, *asJSON)
 	case "run":
@@ -184,11 +172,13 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// expectNoArgs rejects stray arguments after commands that take none,
-// so `compmem fig2 fig3` fails loudly instead of dropping fig3.
+// expectNoArgs rejects stray positional arguments after commands that
+// take none, so `compmem fig2 fig3` fails loudly instead of dropping
+// fig3, and `compmem run -scenario x.json y.json` instead of dropping
+// y.json.
 func expectNoArgs(cmd string, rest []string) error {
 	if len(rest) != 0 {
-		return fmt.Errorf("%s takes no arguments (got %q)", cmd, rest)
+		return fmt.Errorf("%s takes no positional arguments (got %q)", cmd, rest)
 	}
 	return nil
 }
@@ -220,6 +210,9 @@ func runScenarios(cfg experiments.Config, args []string, asJSON bool) error {
 	storeDir := fs.String("store-dir", "", "durable result store directory: completed pipeline stages persist here and warm-serve across runs")
 	subJSON := fs.Bool("json", false, "emit result documents as JSON (one envelope per scenario)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := expectNoArgs("run", fs.Args()); err != nil {
 		return err
 	}
 	if *path == "" {
@@ -308,6 +301,9 @@ func runSweep(cfg experiments.Config, args []string, asJSON bool) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := expectNoArgs("sweep", fs.Args()); err != nil {
+		return err
+	}
 	if *path == "" {
 		return fmt.Errorf("sweep: -spec file.json (or a built-in name, e.g. %q) is required", experiments.SweepPaperGrid)
 	}
@@ -384,6 +380,9 @@ func runServe(cfg experiments.Config, args []string) error {
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request simulation deadline (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain budget for in-flight streams on SIGINT/SIGTERM (0 = wait indefinitely)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := expectNoArgs("serve", fs.Args()); err != nil {
 		return err
 	}
 	rn, err := newRunner(cfg, *storeDir)

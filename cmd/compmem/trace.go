@@ -45,6 +45,9 @@ func traceRecord(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := expectNoArgs("trace record", fs.Args()); err != nil {
+		return err
+	}
 	if *workload == "" {
 		return fmt.Errorf("trace record: -workload is required (registered: %v)", workloads.Names())
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -48,18 +49,20 @@ func main() {
 		fmt.Printf("%s: decoded output verified bit-exactly\n", name)
 	}
 
-	// Then the paper's study: Table 1, Figure 2, Figure 3.
-	study, err := experiments.App1(cfg)
+	// Then the paper's study, on the scenario runner: Table 1, Figure 2,
+	// Figure 3.
+	spec, _ := experiments.BuiltinScenario(cfg, experiments.ScenarioApp1)
+	study, err := scenario.NewRunner(cfg.Workers).Run(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Println(experiments.AllocationTable(study, "Table 1: allocated L2 units"))
-	fmt.Println(experiments.Figure2(study))
-	chart, rep := experiments.Figure3(study)
+	fmt.Println(experiments.AllocationTableFromResult(study, "Table 1: allocated L2 units"))
+	fmt.Println(experiments.Figure2FromResult(study))
+	chart, rep := experiments.Figure3FromResult(study)
 	fmt.Println(chart)
 	fmt.Printf("misses: shared %d -> partitioned %d (%.2fx fewer; paper: 5x)\n",
-		study.Shared.TotalMisses(), study.Part.TotalMisses(), study.MissRatio())
+		study.Shared.TotalMisses, study.Partitioned.TotalMisses, study.MissRatio())
 	fmt.Printf("CPI: %.2f -> %.2f; compositional: %v\n",
-		study.Shared.CPIMean, study.Part.CPIMean, rep.Compositional(0.02))
+		study.Shared.CPIMean, study.Partitioned.CPIMean, rep.Compositional(0.02))
 }

@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"repro/internal/apps/mpeg2"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -43,23 +43,25 @@ func main() {
 	fmt.Printf("mpeg2: %d pictures (%dx%d) decoded and verified bit-exactly\n",
 		pipe.Pictures, pipe.Width, pipe.Height)
 
-	// The study: Table 2, Figure 2/3, and the 1 MB shared variant.
-	study, err := experiments.App2(cfg)
-	if err != nil {
-		log.Fatal(err)
+	// The study, on the scenario runner: Table 2, Figure 2, and the 1 MB
+	// shared variant.
+	var specs []scenario.Scenario
+	for _, name := range []string{experiments.ScenarioApp2, experiments.ScenarioMpeg2Big} {
+		spec, _ := experiments.BuiltinScenario(cfg, name)
+		specs = append(specs, spec)
 	}
+	results := scenario.NewRunner(cfg.Workers).RunBatch(specs)
+	for _, r := range results {
+		if r.Error != "" {
+			log.Fatal(r.Error)
+		}
+	}
+	study, big := results[0], results[1].Shared
 	fmt.Println()
-	fmt.Println(experiments.AllocationTable(study, "Table 2: allocated L2 units"))
-	fmt.Println(experiments.Figure2(study))
+	fmt.Println(experiments.AllocationTableFromResult(study, "Table 2: allocated L2 units"))
+	fmt.Println(experiments.Figure2FromResult(study))
 	fmt.Printf("misses: shared %d -> partitioned %d (%.2fx fewer; paper: 6.5x)\n",
-		study.Shared.TotalMisses(), study.Part.TotalMisses(), study.MissRatio())
-
-	big := cfg.Platform
-	big.Topology = big.Topology.WithLevel("l2", func(l *cache.LevelSpec) { l.Sets *= 2 })
-	bigRes, err := core.Run(workloads.MPEG2(scale, nil), core.RunConfig{Platform: big})
-	if err != nil {
-		log.Fatal(err)
-	}
+		study.Shared.TotalMisses, study.Partitioned.TotalMisses, study.MissRatio())
 	fmt.Printf("1MB shared L2: %d misses (%.2f%%), CPI %.2f — the paper's extra data point\n",
-		bigRes.TotalMisses(), bigRes.L2MissRate*100, bigRes.CPIMean)
+		big.TotalMisses, big.L2MissRate*100, big.CPIMean)
 }

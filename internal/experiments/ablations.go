@@ -1,14 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/core"
-	"repro/internal/report"
-	"repro/internal/workloads"
-)
-
 // CompositionResult is experiment X1: the same decoder's miss counts with
 // and without co-runners, under both cache strategies.
 type CompositionResult struct {
@@ -39,155 +30,3 @@ func shift(solo, corun uint64) float64 {
 
 // jpeg1Entities are the private entities of the first decoder instance.
 var jpeg1Entities = []string{"FrontEnd1", "IDCT1", "Raster1", "BackEnd1"}
-
-func sumEntities(res *core.Result, names []string) uint64 {
-	var t uint64
-	for _, n := range names {
-		if e := res.Entity(n); e != nil {
-			t += e.Misses
-		}
-	}
-	return t
-}
-
-// Composition runs X1. The partitioned runs reuse the full application's
-// optimized allocation, restricted to the entities present in each run —
-// exactly how a compositional design flow would validate a single task
-// before integration.
-func Composition(cfg Config) (*CompositionResult, *report.Table, error) {
-	full := workloads.JPEGCanny(cfg.Scale, nil)
-	solo := workloads.JPEG1Only(cfg.Scale)
-
-	opt, err := core.Optimize(full, cfg.OptimizeConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	run := func(w core.Workload, strat core.Strategy) (*core.Result, error) {
-		rc := core.RunConfig{Platform: cfg.Platform, Strategy: strat}
-		if strat == core.Partitioned {
-			rc.Alloc = opt.Allocation
-		}
-		return core.Run(w, rc)
-	}
-	res := &CompositionResult{}
-	if r, err := run(solo, core.Shared); err != nil {
-		return nil, nil, err
-	} else {
-		res.SharedSolo = sumEntities(r, jpeg1Entities)
-	}
-	if r, err := run(full, core.Shared); err != nil {
-		return nil, nil, err
-	} else {
-		res.SharedCorun = sumEntities(r, jpeg1Entities)
-	}
-	if r, err := run(solo, core.Partitioned); err != nil {
-		return nil, nil, err
-	} else {
-		res.PartSolo = sumEntities(r, jpeg1Entities)
-	}
-	if r, err := run(full, core.Partitioned); err != nil {
-		return nil, nil, err
-	} else {
-		res.PartCorun = sumEntities(r, jpeg1Entities)
-	}
-
-	t := &report.Table{
-		Title:   "X1: jpeg1 task misses, alone vs co-scheduled (compositionality stress)",
-		Headers: []string{"cache", "alone", "co-scheduled", "shift"},
-	}
-	t.AddRow("shared", res.SharedSolo, res.SharedCorun, fmt.Sprintf("%.1f%%", res.SharedShift()*100))
-	t.AddRow("partitioned", res.PartSolo, res.PartCorun, fmt.Sprintf("%.1f%%", res.PartShift()*100))
-	return res, t, nil
-}
-
-// Granularity runs X2: the same optimization pipeline with candidate
-// partition sizes restricted to whole cache ways (column caching, the
-// related-work scheme of Suh et al. and Stone et al.) versus the paper's
-// fine-grained set partitioning.
-func Granularity(cfg Config) (*report.Table, error) {
-	w := workloads.JPEGCanny(cfg.Scale, nil)
-	geom := cfg.Platform.PartitionGeom()
-	totalUnits := geom.Sets / 8
-	wayUnits := totalUnits / geom.Ways
-
-	fine, err := core.Optimize(w, cfg.OptimizeConfig())
-	if err != nil {
-		return nil, err
-	}
-	coarseOC := cfg.OptimizeConfig()
-	coarseOC.Sizes = []int{wayUnits} // every entity gets exactly one way
-	coarse, err := core.Optimize(w, coarseOC)
-	if err != nil {
-		// Way granularity usually over-commits: with more entities than
-		// ways the program is infeasible, which is itself the paper's
-		// point ("this partitioning type severely restricts the
-		// granularity of cache allocation to the associativity").
-		t := &report.Table{
-			Title:   "X2: allocation granularity (set partitioning vs column caching)",
-			Headers: []string{"scheme", "result"},
-		}
-		t.AddRow("set partitioning (8-set units)", fmt.Sprintf("feasible, %d units, %.0f expected misses", fine.Allocation.TotalUnits(), totalExpected(fine)))
-		t.AddRow(fmt.Sprintf("column caching (%d-unit ways)", wayUnits), "infeasible: more entities than ways")
-		return t, nil
-	}
-	t := &report.Table{
-		Title:   "X2: allocation granularity (set partitioning vs column caching)",
-		Headers: []string{"scheme", "total units", "expected misses"},
-	}
-	t.AddRow("set partitioning (8-set units)", fine.Allocation.TotalUnits(), totalExpected(fine))
-	t.AddRow(fmt.Sprintf("column caching (%d-unit ways)", wayUnits), coarse.Allocation.TotalUnits(), totalExpected(coarse))
-	return t, nil
-}
-
-func totalExpected(o *core.OptimizeResult) float64 {
-	var t float64
-	for _, v := range o.Expected {
-		t += v
-	}
-	return t
-}
-
-// Assignment runs X3: the section 3.1 throughput model over measured task
-// times, comparing the workload's static assignment against LPT and local
-// search (and exhaustive search when the task count permits).
-func Assignment(s *Study, numCPUs int) *report.Table {
-	t := &report.Table{
-		Title:   fmt.Sprintf("X3 (%s): task-to-processor assignment (section 3.1 model)", s.Workload),
-		Headers: []string{"assignment", "makespan (cycles)", "throughput (runs/Mcycle)"},
-	}
-	cycles := s.Part.TaskCycles
-	used := core.Assignment{}
-	for n, c := range s.Part.TaskCPU {
-		used[n] = c
-	}
-	addRow := func(name string, a core.Assignment) {
-		loads, err := core.ProcessorLoads(cycles, a, numCPUs)
-		if err != nil {
-			t.AddRow(name, "error", err.Error())
-			return
-		}
-		mk := core.Makespan(loads)
-		t.AddRow(name, mk, core.Throughput(mk))
-	}
-	addRow("static (as run)", used)
-	lpt := core.AssignLPT(cycles, numCPUs)
-	addRow("LPT", lpt)
-	addRow("LPT+local search", core.AssignLocalSearch(cycles, numCPUs, lpt))
-	if ex, err := core.AssignExhaustive(cycles, numCPUs); err == nil {
-		addRow("exhaustive optimum", ex)
-	}
-	return t
-}
-
-// SortedTaskCycles lists measured task times in descending order, for
-// reporting.
-func SortedTaskCycles(res *core.Result) []string {
-	names := make([]string, 0, len(res.TaskCycles))
-	for n := range res.TaskCycles {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return res.TaskCycles[names[i]] > res.TaskCycles[names[j]]
-	})
-	return names
-}

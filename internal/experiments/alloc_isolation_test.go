@@ -33,11 +33,11 @@ func TestSmallStudyBoundedAllocs(t *testing.T) {
 	cfg := Small()
 	cfg.Workers = 1
 	w := workloads.JPEGCanny(workloads.Small, nil)
-	if _, err := RunStudy(w, cfg); err != nil { // warmup
+	if _, err := runCoreStudy(w, cfg); err != nil { // warmup
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := RunStudy(w, cfg); err != nil {
+		if _, err := runCoreStudy(w, cfg); err != nil {
 			t.Error(err)
 		}
 	})

@@ -47,6 +47,39 @@ func diffResults(t *testing.T, label string, merged, word *core.Result) {
 	}
 }
 
+// coreStudy is one workload's full study kept as complete core results:
+// the shared baseline, the optimized allocation and the partitioned run.
+// scenario.RunSummary drops bus statistics, switches and per-core CPIs,
+// which the engine differential compares.
+type coreStudy struct {
+	shared, part *core.Result
+	opt          *core.OptimizeResult
+}
+
+// runCoreStudy runs the study pipeline on the core API: shared run,
+// profile + optimize, partitioned run under the optimized allocation.
+func runCoreStudy(w core.Workload, cfg Config) (*coreStudy, error) {
+	shared, err := core.Run(w, core.RunConfig{Platform: cfg.Platform})
+	if err != nil {
+		return nil, err
+	}
+	opt, err := core.Optimize(w, core.OptimizeConfig{
+		Platform: cfg.Platform,
+		Runs:     cfg.ProfileRuns,
+		Solver:   cfg.Solver,
+		Engine:   cfg.Engine,
+		Workers:  cfg.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	part, err := core.Run(w, core.RunConfig{Platform: cfg.Platform, Strategy: core.Partitioned, Alloc: opt.Allocation})
+	if err != nil {
+		return nil, err
+	}
+	return &coreStudy{shared: shared, part: part, opt: opt}, nil
+}
+
 // TestEngineDifferentialStudies is the acceptance oracle of the
 // line-merged fast path on the real workloads: for Small-scale JPEGCanny
 // and MPEG-2, the full study — shared baseline, profiled miss curves,
@@ -61,25 +94,27 @@ func TestEngineDifferentialStudies(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			cfg := Small()
 			cfg.Platform.Engine = platform.EngineLineMerged
-			merged, err := RunStudy(w, cfg)
+			merged, err := runCoreStudy(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Platform.Engine = platform.EngineWordExact
-			word, err := RunStudy(w, cfg)
+			word, err := runCoreStudy(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffResults(t, "shared", merged.Shared, word.Shared)
-			diffResults(t, "partitioned", merged.Part, word.Part)
-			if !reflect.DeepEqual(merged.Opt.Allocation, word.Opt.Allocation) {
-				t.Errorf("allocations differ: %v vs %v", merged.Opt.Allocation, word.Opt.Allocation)
+			diffResults(t, "shared", merged.shared, word.shared)
+			diffResults(t, "partitioned", merged.part, word.part)
+			if !reflect.DeepEqual(merged.opt.Allocation, word.opt.Allocation) {
+				t.Errorf("allocations differ: %v vs %v", merged.opt.Allocation, word.opt.Allocation)
 			}
-			if !reflect.DeepEqual(merged.Opt.Expected, word.Opt.Expected) {
-				t.Errorf("expected misses differ: %v vs %v", merged.Opt.Expected, word.Opt.Expected)
+			if !reflect.DeepEqual(merged.opt.Expected, word.opt.Expected) {
+				t.Errorf("expected misses differ: %v vs %v", merged.opt.Expected, word.opt.Expected)
 			}
-			if merged.Compose.MaxRelDiff != word.Compose.MaxRelDiff {
-				t.Errorf("compositionality %v vs %v", merged.Compose.MaxRelDiff, word.Compose.MaxRelDiff)
+			mc := core.CompareExpectedSimulated(merged.opt.Expected, merged.part)
+			wc := core.CompareExpectedSimulated(word.opt.Expected, word.part)
+			if mc.MaxRelDiff != wc.MaxRelDiff {
+				t.Errorf("compositionality %v vs %v", mc.MaxRelDiff, wc.MaxRelDiff)
 			}
 		})
 	}

@@ -4,74 +4,89 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
-// The experiment tests run at Small scale; the paper-scale shape
-// assertions live in the root-level bench harness and EXPERIMENTS.md.
+// The experiment tests run at Small scale on one shared runner, so a
+// built-in study simulates once however many tests read it; the
+// paper-scale shape assertions live in the root-level TestPaperShape.
+var smallRunner = scenario.NewRunner(0)
+
+// runBuiltins runs the named Small-scale built-ins on the shared runner
+// and fails the test on any scenario error.
+func runBuiltins(t *testing.T, names ...string) []*scenario.Result {
+	t.Helper()
+	specs := make([]scenario.Scenario, len(names))
+	for i, n := range names {
+		spec, ok := BuiltinScenario(Small(), n)
+		if !ok {
+			t.Fatalf("no built-in scenario %q", n)
+		}
+		specs[i] = spec
+	}
+	results := smallRunner.RunBatch(specs)
+	for i, r := range results {
+		if r.Error != "" {
+			t.Fatalf("%s: %s", names[i], r.Error)
+		}
+	}
+	return results
+}
 
 func TestApp1StudySmall(t *testing.T) {
-	s, err := App1(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shared.TotalMisses() == 0 || s.Part.TotalMisses() == 0 {
+	r := runBuiltins(t, ScenarioApp1)[0]
+	if r.Shared.TotalMisses == 0 || r.Partitioned.TotalMisses == 0 {
 		t.Fatal("no misses measured")
 	}
-	if s.MissRatio() <= 0 {
+	if r.MissRatio() <= 0 {
 		t.Error("no ratio")
 	}
 	// Even the small workload must be compositional.
-	if s.Compose.MaxRelDiff > 0.10 {
-		t.Errorf("max rel diff %.3f too large", s.Compose.MaxRelDiff)
+	if r.Compose.MaxRelDiff > 0.10 {
+		t.Errorf("max rel diff %.3f too large", r.Compose.MaxRelDiff)
 	}
 	// Tables and figures render.
-	tab := AllocationTable(s, "Table 1")
+	tab := AllocationTableFromResult(r, "Table 1")
 	if !strings.Contains(tab.String(), "FrontEnd1") {
 		t.Error("allocation table missing task row")
 	}
 	if !strings.Contains(tab.String(), "TOTAL") {
 		t.Error("allocation table missing total")
 	}
-	f2 := Figure2(s)
+	f2 := Figure2FromResult(r)
 	if len(f2.Pairs) == 0 {
 		t.Error("figure 2 empty")
 	}
-	f3, rep := Figure3(s)
+	f3, rep := Figure3FromResult(r)
 	if len(f3.Pairs) == 0 || rep == nil {
 		t.Error("figure 3 empty")
 	}
 	// X3 renders for 4 CPUs.
-	x3 := Assignment(s, 4)
+	x3 := AssignmentFromResult(r, 4)
 	if !strings.Contains(x3.String(), "LPT") {
 		t.Error("assignment table missing LPT row")
 	}
 }
 
 func TestApp2StudySmall(t *testing.T) {
-	s, err := App2(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shared.TotalMisses() == 0 {
+	r := runBuiltins(t, ScenarioApp2)[0]
+	if r.Shared.TotalMisses == 0 {
 		t.Fatal("no misses measured")
 	}
-	tab := AllocationTable(s, "Table 2")
+	tab := AllocationTableFromResult(r, "Table 2")
 	for _, name := range []string{"vld", "memMan", "predictRD"} {
 		if !strings.Contains(tab.String(), name) {
 			t.Errorf("table 2 missing %q", name)
 		}
 	}
-	if s.Compose.MaxRelDiff > 0.10 {
-		t.Errorf("max rel diff %.3f too large", s.Compose.MaxRelDiff)
+	if r.Compose.MaxRelDiff > 0.10 {
+		t.Errorf("max rel diff %.3f too large", r.Compose.MaxRelDiff)
 	}
 }
 
 func TestHeadlineSmall(t *testing.T) {
-	tab, rows, err := Headline(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBuiltins(t, ScenarioApp1, ScenarioApp2, ScenarioMpeg2Big)
+	tab, rows := HeadlineFromResults(res[0], res[1], res[2])
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 2 apps + 1MB variant", len(rows))
 	}
@@ -88,21 +103,19 @@ func TestHeadlineSmall(t *testing.T) {
 }
 
 func TestCompositionSmall(t *testing.T) {
-	res, tab, err := Composition(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SharedSolo == 0 || res.PartSolo == 0 {
+	res := runBuiltins(t, ScenarioJPEG1Solo, ScenarioApp1)
+	cr, tab := CompositionFromResults(res[0], res[1])
+	if cr.SharedSolo == 0 || cr.PartSolo == 0 {
 		t.Fatal("no solo misses measured")
 	}
 	// The partitioned system must be far more compositional than the
 	// shared one: adding co-runners barely changes jpeg1's misses.
-	if res.PartShift() > 0.05 {
-		t.Errorf("partitioned shift %.3f, want < 0.05", res.PartShift())
+	if cr.PartShift() > 0.05 {
+		t.Errorf("partitioned shift %.3f, want < 0.05", cr.PartShift())
 	}
-	if res.SharedShift() < 2*res.PartShift() {
+	if cr.SharedShift() < 2*cr.PartShift() {
 		t.Errorf("shared shift %.3f not clearly larger than partitioned %.3f",
-			res.SharedShift(), res.PartShift())
+			cr.SharedShift(), cr.PartShift())
 	}
 	if !strings.Contains(tab.String(), "co-scheduled") {
 		t.Error("table malformed")
@@ -110,27 +123,24 @@ func TestCompositionSmall(t *testing.T) {
 }
 
 func TestGranularitySmall(t *testing.T) {
-	tab, err := Granularity(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tab.String()
+	fine := runBuiltins(t, ScenarioApp1Optimize)[0]
+	// The column-caching leg is expected to fail (more entities than
+	// ways); the table reports that infeasibility.
+	spec, _ := BuiltinScenario(Small(), ScenarioApp1Column)
+	coarse := smallRunner.RunBatch([]scenario.Scenario{spec})[0]
+	out := GranularityFromResults(Small(), fine, coarse).String()
 	if !strings.Contains(out, "column caching") || !strings.Contains(out, "set partitioning") {
 		t.Errorf("granularity table malformed:\n%s", out)
 	}
 }
 
 func TestStudyMissRatioZeroSafe(t *testing.T) {
-	s := &Study{Shared: &core.Result{}, Part: &core.Result{}}
-	if s.MissRatio() != 0 {
-		t.Error("zero-division in MissRatio")
-	}
-}
-
-func TestSortedTaskCycles(t *testing.T) {
-	res := &core.Result{TaskCycles: map[string]uint64{"a": 5, "b": 50, "c": 20}}
-	got := SortedTaskCycles(res)
-	if len(got) != 3 || got[0] != "b" || got[2] != "a" {
-		t.Errorf("order = %v", got)
+	for name, r := range map[string]*scenario.Result{
+		"nil partitioned": {Shared: &scenario.RunSummary{TotalMisses: 10}},
+		"zero misses":     {Shared: &scenario.RunSummary{}, Partitioned: &scenario.RunSummary{}},
+	} {
+		if r.MissRatio() != 0 {
+			t.Errorf("%s: MissRatio = %v, want 0", name, r.MissRatio())
+		}
 	}
 }

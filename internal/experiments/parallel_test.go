@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -72,72 +74,66 @@ func TestParallelProfileMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelHeadlineMatchesSequential checks the full harness fan-out:
-// the headline table (both apps plus the 1 MB variant, each with its own
-// study pipeline) must produce identical rows at any worker count. Every
-// simulation owns its platform instance, so under -race this is the
-// data-race check for the whole parallel harness.
+// TestParallelHeadlineMatchesSequential checks the runner's fan-out:
+// the headline command (both app studies plus the 1 MB variant) must
+// render identical text and documents on a sequential and a 4-worker
+// runner, and each underlying Result must marshal to identical JSON.
+// Every simulation owns its platform instance, so under -race this is
+// the data-race check for the runner's concurrent batch and study legs.
 func TestParallelHeadlineMatchesSequential(t *testing.T) {
-	seqCfg := Small()
-	seqCfg.Workers = 1
-	seqTab, seqRows, err := Headline(seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCfg := Small()
-	parCfg.Workers = 4
-	parTab, parRows, err := Headline(parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Errorf("parallel headline rows differ:\nseq: %+v\npar: %+v", seqRows, parRows)
-	}
-	if seqTab.String() != parTab.String() {
-		t.Error("parallel headline table rendering differs")
-	}
-}
-
-// TestRunStudyParallelLegs checks that the shared/profiled legs of one
-// study agree with the sequential path at the study level too.
-func TestRunStudyParallelLegs(t *testing.T) {
-	w := workloads.MPEG2(workloads.Small, nil)
-	seqCfg := Small()
-	seqCfg.Workers = 1
-	seq, err := RunStudy(w, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCfg := Small()
-	parCfg.Workers = 4
-	par, err := RunStudy(w, parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Shared.TotalMisses() != par.Shared.TotalMisses() ||
-		seq.Part.TotalMisses() != par.Part.TotalMisses() {
-		t.Errorf("parallel study differs: shared %d/%d part %d/%d",
-			seq.Shared.TotalMisses(), par.Shared.TotalMisses(),
-			seq.Part.TotalMisses(), par.Part.TotalMisses())
-	}
-	if !reflect.DeepEqual(seq.Opt.Allocation, par.Opt.Allocation) {
-		t.Errorf("allocations differ: %v vs %v", seq.Opt.Allocation, par.Opt.Allocation)
-	}
-}
-
-// TestBankEngineStudySmall keeps the reference-oracle path wired through
-// the full study pipeline.
-func TestBankEngineStudySmall(t *testing.T) {
 	cfg := Small()
-	cfg.Engine = profile.EngineBank
-	s, err := App1(cfg)
+	seqRn, parRn := scenario.NewRunner(1), scenario.NewRunner(4)
+	seq, err := RunCommand("headline", cfg, seqRn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shared.TotalMisses() == 0 || s.Part.TotalMisses() == 0 {
-		t.Fatal("no misses measured")
+	par, err := RunCommand("headline", cfg, parRn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Compose.MaxRelDiff > 0.10 {
-		t.Errorf("max rel diff %.3f too large", s.Compose.MaxRelDiff)
+	if seq.Text != par.Text {
+		t.Errorf("parallel headline text differs:\nseq:\n%s\npar:\n%s", seq.Text, par.Text)
 	}
+	if a, b := mustJSON(t, seq.Documents), mustJSON(t, par.Documents); a != b {
+		t.Errorf("parallel headline documents differ:\nseq: %s\npar: %s", a, b)
+	}
+	for _, name := range commandScenarios["headline"] {
+		assertSameResult(t, cfg, name, seqRn, parRn)
+	}
+}
+
+// TestStudyParallelLegs checks that the concurrent shared and optimize
+// legs of one study agree with the sequential path at the Result level.
+func TestStudyParallelLegs(t *testing.T) {
+	assertSameResult(t, Small(), ScenarioApp2, scenario.NewRunner(1), scenario.NewRunner(4))
+}
+
+// assertSameResult runs one built-in on two runners and requires the
+// Result JSON to be identical.
+func assertSameResult(t *testing.T, cfg Config, name string, a, b *scenario.Runner) {
+	t.Helper()
+	spec, ok := BuiltinScenario(cfg, name)
+	if !ok {
+		t.Fatalf("no built-in scenario %q", name)
+	}
+	ra, err := a.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ja, jb := mustJSON(t, ra), mustJSON(t, rb); ja != jb {
+		t.Errorf("%s: results differ between runners:\n%s\nvs\n%s", name, ja, jb)
+	}
+}
+
+func mustJSON(t *testing.T, v interface{}) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func TestSplitSectionsSmall(t *testing.T) {
-	tab, err := SplitSections(Small())
+	res, err := RunCommand("split", Small(), smallRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := tab.String()
+	out := res.Text
 	if !strings.Contains(out, "split i/d") || !strings.Contains(out, "task-unified") {
 		t.Errorf("table malformed:\n%s", out)
 	}
@@ -54,37 +54,19 @@ func TestSplitEntitiesModel(t *testing.T) {
 }
 
 func TestMigrationSmall(t *testing.T) {
-	tab, err := Migration(Small())
+	res, err := RunCommand("migration", Small(), smallRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := tab.String()
-	if !strings.Contains(out, "migrating misses") {
-		t.Errorf("table malformed:\n%s", out)
+	if !strings.Contains(res.Text, "migrating misses") {
+		t.Errorf("table malformed:\n%s", res.Text)
 	}
 	// The partitioned row's shift must be tiny — compositionality holds
-	// under dynamic scheduling. Parse is brittle; re-derive directly.
-	cfg := Small()
-	w := workloads.JPEGCanny(cfg.Scale, nil)
-	opt, err := core.Optimize(w, core.OptimizeConfig{Platform: cfg.Platform, Runs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcMig := cfg.Platform
-	pcMig.Sched.AllowMigration = true
-	static, err := core.Run(w, core.RunConfig{
-		Platform: cfg.Platform, Strategy: core.Partitioned, Alloc: opt.Allocation,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mig, err := core.Run(w, core.RunConfig{
-		Platform: pcMig, Strategy: core.Partitioned, Alloc: opt.Allocation,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := float64(static.TotalMisses())
+	// under dynamic scheduling. Parse is brittle; re-derive from the
+	// partitioned runs of the two studies (memo hits on the runner).
+	studies := runBuiltins(t, ScenarioApp1, ScenarioApp1Migration)
+	static, mig := studies[0].Partitioned, studies[1].Partitioned
+	total := float64(static.TotalMisses)
 	for _, e := range static.Entities {
 		o := mig.Entity(e.Name)
 		if o == nil {
