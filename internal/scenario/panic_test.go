@@ -110,34 +110,66 @@ func TestStagePanicIsContainedAndEvicted(t *testing.T) {
 	}
 }
 
-// TestPlatformPanicPastSpecChecks checks a platform-construction panic
-// that spec validation cannot catch (it fires inside the workload
-// factory, deep in the memory model) still comes back as a structured
-// per-scenario error.
+// TestPlatformPanicPastSpecChecks checks two containment properties.
+// A platform-construction panic that spec validation cannot catch (it
+// fires inside the workload factory, deep in the memory model) comes
+// back as a structured per-scenario error. And a panic that crosses a
+// worker boundary inside a stage — the profile stage's repetition
+// fan-out — arrives as a *parallel.PanicError that the stage reshapes
+// into the same structured error.
 func TestPlatformPanicPastSpecChecks(t *testing.T) {
-	registerBadPlatform(t, "bad-align")
-	rn := NewRunner(2)
-	// partition "shared" exercises the run stage; runs > 1 exercises the
-	// nested parallel fan-out, so the panic crosses a worker boundary
-	// (*parallel.PanicError) before the stage reshapes it. Trace mode
-	// "live" keeps the factory build inside the run stage (the default
-	// replay mode would surface it in the trace capture instead).
-	spec := Scenario{Workload: "bad-align", Scale: "small", Runs: 2, Partition: PartitionShared, Trace: TraceLive}
+	t.Run("factory", func(t *testing.T) {
+		registerBadPlatform(t, "bad-align")
+		rn := NewRunner(2)
+		// The workload factory's first execution is the trace capture,
+		// so the panic is attributed to the trace stage.
+		spec := Scenario{Workload: "bad-align", Scale: "small", Runs: 2, Partition: PartitionShared}
 
-	res, err := rn.RunContext(context.Background(), spec)
-	var pe *StagePanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *StagePanicError, got %v", err)
-	}
-	if pe.Stage != "run" {
-		t.Errorf("panic must be attributed to the run stage, got %q", pe.Stage)
-	}
-	if !strings.Contains(res.Error, "panic in run stage") {
-		t.Errorf("result must embed the structured panic, got %q", res.Error)
-	}
-	if st := rn.Stats(); st.StagePanics == 0 {
-		t.Errorf("platform panic must be counted: %+v", st)
-	}
+		res, err := rn.RunContext(context.Background(), spec)
+		var pe *StagePanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("want *StagePanicError, got %v", err)
+		}
+		if pe.Stage != "trace" || pe.Stack == "" {
+			t.Errorf("panic must be attributed to the trace stage with a stack, got %+v", pe)
+		}
+		if !strings.Contains(res.Error, "panic in trace stage") {
+			t.Errorf("result must embed the structured panic, got %q", res.Error)
+		}
+		if st := rn.Stats(); st.StagePanics != 1 {
+			t.Errorf("platform panic must be counted once: %+v", st)
+		}
+	})
+
+	t.Run("worker", func(t *testing.T) {
+		// runs 2 on 2 workers fans the profiling repetitions out over the
+		// pool; nothing before the profile stage dispatches to it, so the
+		// first worker dispatch is repetition 0.
+		restore := faults.Activate(faults.New(23).PanicAt(faults.SiteWorker, 0))
+		defer restore()
+		rn := NewRunner(2)
+		spec := Scenario{Workload: "jpeg1-only", Scale: "small", Runs: 2, Partition: PartitionProfile}
+
+		res, err := rn.RunContext(context.Background(), spec)
+		restore()
+		var pe *StagePanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("want *StagePanicError, got %v", err)
+		}
+		if _, injected := pe.Value.(faults.PanicValue); pe.Stage != "profile" || !injected || pe.Stack == "" {
+			t.Errorf("worker panic must be reshaped into a profile-stage panic with its stack, got %+v", pe)
+		}
+		if !strings.Contains(res.Error, "panic in profile stage") {
+			t.Errorf("result must embed the structured panic, got %q", res.Error)
+		}
+		if st := rn.Stats(); st.StagePanics != 1 || st.TraceRuns != 1 {
+			t.Errorf("want one counted panic after one clean capture, got %+v", st)
+		}
+		// The panicked stage is evicted, not memoized: a retry succeeds.
+		if res, err := rn.Run(spec); err != nil || len(res.Curves) == 0 {
+			t.Errorf("retry after a contained worker panic must succeed, got %v", err)
+		}
+	})
 }
 
 // TestBatchIsolatesPanickingScenario checks one panicking scenario in a

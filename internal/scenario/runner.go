@@ -19,13 +19,13 @@ import (
 )
 
 // Runner validates scenarios and executes them with content-addressed
-// memoization. Memoization is per pipeline *stage* (profiling, the
-// profile+solve leg, each measured execution), keyed by a hash of
-// exactly the spec fields that stage depends on — so identical specs in
-// a batch simulate once, and different scenarios sharing a stage (every
-// command of the legacy CLI surface reuses the two applications'
-// studies; the solo-composition scenario borrows the full application's
-// optimization) share the simulation too. Every simulation is
+// memoization. Memoization is per pipeline *stage* (the trace capture,
+// profiling, the profile+solve leg, each measured execution), keyed by
+// a hash of exactly the spec fields that stage depends on — so
+// identical specs in a batch simulate once, and different scenarios
+// sharing a stage (every command of the legacy CLI surface reuses the
+// two applications' studies; the solo-composition scenario borrows the
+// full application's optimization) share the simulation too. Every simulation is
 // deterministic at any worker count, so memoized and fresh results are
 // bit-identical.
 //
@@ -42,6 +42,12 @@ import (
 // process restarts. Durable-layer failures are counted, retried and —
 // when the medium keeps failing — degraded away by the store layer;
 // they never fail a scenario.
+//
+// Each stage kind (trace, profile, optimize, run) is declared once, as
+// a typed stageKind in storecodec.go naming its counter and document
+// codec; each counter once, in the Stats.fields table. Stages build
+// their app instances from the trace stage's replay workload — the
+// runner's only workload source.
 type Runner struct {
 	// workers bounds each fan-out stage (0 = GOMAXPROCS, 1 = fully
 	// sequential), exactly like experiments.Config.Workers.
@@ -67,19 +73,8 @@ type Runner struct {
 	// site, preserving the corrupt-trace recapture path.
 	decoded sync.Map // composite stage key → decoded stage value
 
-	stageRuns    uint64 // stages actually executed
-	memoHits     uint64 // stage lookups served from the in-process memo
-	stageErrors  uint64 // stages that failed (and were evicted for retry)
-	stagePanics  uint64 // panics recovered and converted to StagePanicError
-	profileRuns  uint64 // profile stages executed
-	optimizeRuns uint64 // optimize stages executed
-	runRuns      uint64 // measured-execution stages executed
-	traceRuns    uint64 // trace captures executed (functional runs)
-	traceHits    uint64 // trace lookups served without capturing (any layer)
-	traceBytes   uint64 // encoded bytes of traces captured
-	diskHits     uint64 // stage lookups served from the durable store
-	diskMisses   uint64 // durable-store lookups that found no record
-	storeErrors  uint64 // durable-store operations that failed (post-retry)
+	// counts is the counter table, indexed by counter (see Stats.fields).
+	counts [numCounters]atomic.Uint64
 }
 
 // StagePanicError is a panic recovered inside a pipeline stage (or a
@@ -91,7 +86,7 @@ type Runner struct {
 // "error" field — the process, and every other in-flight scenario,
 // keeps running.
 type StagePanicError struct {
-	Stage string      // stage kind ("profile", "optimize", "run", or "scenario" outside any stage)
+	Stage string      // stage kind ("trace", "profile", "optimize", "run", or "scenario" outside any stage)
 	Key   string      // the stage's memo key (content address), if any
 	Value interface{} // the recovered panic value
 	Stack string      // stack captured at recovery
@@ -106,10 +101,11 @@ func (e *StagePanicError) Error() string {
 }
 
 // memoEntry is a single-flight memo slot: the first caller computes,
-// concurrent callers block on the sync.Once, later callers reuse.
+// concurrent callers block on the sync.Once, later callers reuse. val
+// holds the kind's stage value; stage is the only reader.
 type memoEntry struct {
 	once sync.Once
-	val  interface{}
+	val  any
 	err  error
 }
 
@@ -196,44 +192,65 @@ type Stats struct {
 	Quarantined  uint64 `json:"quarantined,omitempty"`  // corrupt durable records detected and quarantined
 }
 
+// counter indexes the Runner's counter table; each counter is one Stats
+// field.
+type counter int
+
+const (
+	stageRuns counter = iota
+	memoHits
+	stageErrors
+	stagePanics
+	profileRuns
+	optimizeRuns
+	runRuns
+	traceRuns
+	traceHits
+	traceBytes
+	diskHits
+	diskMisses
+	storeErrors
+	quarantined // kept by the durable store; Runner.Stats reads it from there
+	numCounters
+)
+
+// fields lists s's counters in counter order: the one place a counter
+// meets its Stats field. Runner.Stats and Delta both loop over it.
+func (s *Stats) fields() [numCounters]*uint64 {
+	return [numCounters]*uint64{
+		stageRuns:    &s.StageRuns,
+		memoHits:     &s.MemoHits,
+		stageErrors:  &s.StageErrors,
+		stagePanics:  &s.StagePanics,
+		profileRuns:  &s.ProfileRuns,
+		optimizeRuns: &s.OptimizeRuns,
+		runRuns:      &s.RunRuns,
+		traceRuns:    &s.TraceRuns,
+		traceHits:    &s.TraceHits,
+		traceBytes:   &s.TraceBytes,
+		diskHits:     &s.DiskHits,
+		diskMisses:   &s.DiskMisses,
+		storeErrors:  &s.StoreErrors,
+		quarantined:  &s.Quarantined,
+	}
+}
+
 // Delta returns the counter-wise difference s - before: the stage work
 // attributable to the requests issued between the two snapshots (the
 // sweep and explore aggregates record exactly this).
 func (s Stats) Delta(before Stats) Stats {
-	return Stats{
-		StageRuns:    s.StageRuns - before.StageRuns,
-		MemoHits:     s.MemoHits - before.MemoHits,
-		StageErrors:  s.StageErrors - before.StageErrors,
-		StagePanics:  s.StagePanics - before.StagePanics,
-		ProfileRuns:  s.ProfileRuns - before.ProfileRuns,
-		OptimizeRuns: s.OptimizeRuns - before.OptimizeRuns,
-		RunRuns:      s.RunRuns - before.RunRuns,
-		TraceRuns:    s.TraceRuns - before.TraceRuns,
-		TraceHits:    s.TraceHits - before.TraceHits,
-		TraceBytes:   s.TraceBytes - before.TraceBytes,
-		DiskHits:     s.DiskHits - before.DiskHits,
-		DiskMisses:   s.DiskMisses - before.DiskMisses,
-		StoreErrors:  s.StoreErrors - before.StoreErrors,
-		Quarantined:  s.Quarantined - before.Quarantined,
+	b := before.fields()
+	for c, p := range s.fields() {
+		*p -= *b[c]
 	}
+	return s
 }
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Stats {
-	s := Stats{
-		StageRuns:    atomic.LoadUint64(&r.stageRuns),
-		MemoHits:     atomic.LoadUint64(&r.memoHits),
-		StageErrors:  atomic.LoadUint64(&r.stageErrors),
-		StagePanics:  atomic.LoadUint64(&r.stagePanics),
-		ProfileRuns:  atomic.LoadUint64(&r.profileRuns),
-		OptimizeRuns: atomic.LoadUint64(&r.optimizeRuns),
-		RunRuns:      atomic.LoadUint64(&r.runRuns),
-		TraceRuns:    atomic.LoadUint64(&r.traceRuns),
-		TraceHits:    atomic.LoadUint64(&r.traceHits),
-		TraceBytes:   atomic.LoadUint64(&r.traceBytes),
-		DiskHits:     atomic.LoadUint64(&r.diskHits),
-		DiskMisses:   atomic.LoadUint64(&r.diskMisses),
-		StoreErrors:  atomic.LoadUint64(&r.storeErrors),
+	var s Stats
+	for c, p := range s.fields() {
+		*p = r.counts[c].Load()
 	}
 	if sp, ok := r.durable.(store.StatsProvider); ok {
 		s.Quarantined = sp.Stats().Quarantined
@@ -241,20 +258,18 @@ func (r *Runner) Stats() Stats {
 	return s
 }
 
-// Stage kinds, also the memo-key prefixes.
-const (
-	stageProfile  = "profile"
-	stageOptimize = "optimize"
-	stageRun      = "run"
-	stageTrace    = "trace"
-)
-
-// noteHit counts a stage lookup served without executing the stage.
-func (r *Runner) noteHit(kind string) {
-	atomic.AddUint64(&r.memoHits, 1)
-	if kind == stageTrace {
-		atomic.AddUint64(&r.traceHits, 1)
+// count adds one to each named counter.
+func (r *Runner) count(cs ...counter) {
+	for _, c := range cs {
+		r.counts[c].Add(1)
 	}
+}
+
+// hit counts a lookup of kind k served without executing the stage,
+// from the memo (memoHits) or the durable store (diskHits).
+func (k stageKind[T]) hit(r *Runner, via counter) {
+	r.count(via)
+	r.count(k.hits...)
 }
 
 // stage serves one pipeline-stage lookup through the memo layers:
@@ -274,35 +289,31 @@ func (r *Runner) noteHit(kind string) {
 // A canceled ctx fails the lookup before it touches the memo; it never
 // aborts a computation already in flight (simulations are deterministic
 // and their results are shared, so in-flight work is never wasted).
-func (r *Runner) stage(ctx context.Context, kind, key string, f func() (interface{}, error)) (interface{}, error) {
+func stage[T any](ctx context.Context, r *Runner, k stageKind[T], key string, f func() (T, error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return zero, err
 	}
-	key = kind + "|" + key
+	key = k.name + "|" + key
 	var (
 		e       *memoEntry
 		waiting bool
 	)
 	for {
 		// Decoded fast path: serve the shared live value with no store
-		// lookup and no decode. Trace reads keep their fault site — an
-		// injected read error behaves exactly like a corrupt document
-		// (counted, both layers evicted, recompute), so the recapture
-		// semantics are independent of which layer served the trace.
+		// lookup and no decode. The kind's read hook still fires — an
+		// injected trace read error behaves exactly like a corrupt
+		// document (counted, both layers evicted, recompute), so the
+		// recapture semantics are independent of which layer served the
+		// trace.
 		if v, ok := r.decoded.Load(key); ok {
-			if kind == stageTrace {
-				if err := faults.Point(faults.SiteTraceRead); err != nil {
-					atomic.AddUint64(&r.storeErrors, 1)
-					r.decoded.Delete(key)
-					r.mem.Delete(key)
-				} else {
-					r.noteHit(kind)
-					return v, nil
-				}
-			} else {
-				r.noteHit(kind)
-				return v, nil
+			if k.checkRead() == nil {
+				k.hit(r, memoHits)
+				return v.(T), nil
 			}
+			r.count(storeErrors)
+			r.decoded.Delete(key)
+			r.mem.Delete(key)
 		}
 		r.mu.Lock()
 		e, waiting = r.inflight[key]
@@ -319,10 +330,10 @@ func (r *Runner) stage(ctx context.Context, kind, key string, f func() (interfac
 		if cached == nil {
 			break
 		}
-		v, derr := decodeStage(kind, cached)
+		v, derr := k.load(cached)
 		if derr == nil {
 			r.decoded.Store(key, v)
-			r.noteHit(kind)
+			k.hit(r, memoHits)
 			return v, nil
 		}
 		// The memory layer held an undecodable document (a corrupt
@@ -330,32 +341,22 @@ func (r *Runner) stage(ctx context.Context, kind, key string, f func() (interfac
 		// from a live upgrade). Treat it exactly like the durable layer
 		// does: count it, evict the record, and loop back to recompute —
 		// corruption costs a re-run, never a failed scenario.
-		atomic.AddUint64(&r.storeErrors, 1)
+		r.count(storeErrors)
 		r.mem.Delete(key)
 	}
 
-	if waiting {
-		r.noteHit(kind)
-	}
+	ran := false
 	e.once.Do(func() {
-		if v, ok := r.loadDurable(kind, key); ok {
+		ran = true
+		if v, ok := k.loadDurable(r, key); ok {
 			e.val = v
 			return
 		}
-		atomic.AddUint64(&r.stageRuns, 1)
-		switch kind {
-		case stageProfile:
-			atomic.AddUint64(&r.profileRuns, 1)
-		case stageOptimize:
-			atomic.AddUint64(&r.optimizeRuns, 1)
-		case stageRun:
-			atomic.AddUint64(&r.runRuns, 1)
-		case stageTrace:
-			atomic.AddUint64(&r.traceRuns, 1)
-		}
-		e.val, e.err = r.guarded(kind, key, f)
-		if e.err == nil {
-			r.persist(kind, key, e.val)
+		r.count(stageRuns, k.runs)
+		v, err := k.guarded(r, key, f)
+		e.val, e.err = v, err
+		if err == nil {
+			k.persist(r, key, v)
 		}
 	})
 	// The entry's work is done (stored on success): retire it from the
@@ -368,11 +369,20 @@ func (r *Runner) stage(ctx context.Context, kind, key string, f func() (interfac
 	if r.inflight[key] == e {
 		delete(r.inflight, key)
 		if e.err != nil {
-			atomic.AddUint64(&r.stageErrors, 1)
+			r.count(stageErrors)
 		}
 	}
 	r.mu.Unlock()
-	return e.val, e.err
+	if e.err != nil {
+		return zero, e.err
+	}
+	// A caller that shared another caller's execution was served from
+	// the memo — once that execution has succeeded, never before: a
+	// waiter on a failed stage got an error, not a memoized result.
+	if !ran {
+		k.hit(r, memoHits)
+	}
+	return e.val.(T), nil
 }
 
 // loadDurable consults the durable store for a completed stage result,
@@ -380,47 +390,45 @@ func (r *Runner) stage(ctx context.Context, kind, key string, f func() (interfac
 // swallowed — the caller falls through to simulation; a document of an
 // unknown version (or a kind mismatch) is treated the same way, and the
 // recompute overwrites it.
-func (r *Runner) loadDurable(kind, key string) (interface{}, bool) {
+func (k stageKind[T]) loadDurable(r *Runner, key string) (T, bool) {
+	var zero T
 	if r.durable == nil {
-		return nil, false
+		return zero, false
 	}
 	b, err := r.durable.Get(key)
 	switch {
 	case err == nil:
-		v, derr := decodeStage(kind, b)
+		v, derr := k.load(b)
 		if derr != nil {
-			atomic.AddUint64(&r.storeErrors, 1)
+			r.count(storeErrors)
 			r.durable.Delete(key)
-			return nil, false
+			return zero, false
 		}
-		atomic.AddUint64(&r.diskHits, 1)
-		if kind == stageTrace {
-			atomic.AddUint64(&r.traceHits, 1)
-		}
+		k.hit(r, diskHits)
 		r.mem.Put(key, b)
 		r.decoded.Store(key, v)
 		return v, true
 	case errors.Is(err, store.ErrNotFound):
-		atomic.AddUint64(&r.diskMisses, 1)
+		r.count(diskMisses)
 	case errors.Is(err, store.ErrDegraded):
 		// The breaker tripped: memory-only mode, nothing to count per op.
 	default:
-		atomic.AddUint64(&r.storeErrors, 1)
+		r.count(storeErrors)
 	}
-	return nil, false
+	return zero, false
 }
 
 // persist encodes a completed stage value into its versioned document
 // and stores it — always in memory, and in the durable layer when one
 // is configured. Durable failures are counted, never propagated: a
 // broken volume costs durability, not results.
-func (r *Runner) persist(kind, key string, v interface{}) {
-	b, err := encodeStage(kind, v)
+func (k stageKind[T]) persist(r *Runner, key string, v T) {
+	b, err := k.encode(v)
 	if err != nil {
 		// Stage values are plain structs of scalars, slices and maps;
 		// encoding cannot fail in practice. Count it and serve from the
 		// single-flight value alone.
-		atomic.AddUint64(&r.storeErrors, 1)
+		r.count(storeErrors)
 		return
 	}
 	r.mem.Put(key, b)
@@ -429,7 +437,7 @@ func (r *Runner) persist(kind, key string, v interface{}) {
 		return
 	}
 	if err := r.durable.Put(key, b); err != nil && !errors.Is(err, store.ErrDegraded) {
-		atomic.AddUint64(&r.storeErrors, 1)
+		r.count(storeErrors)
 	}
 }
 
@@ -443,21 +451,23 @@ func (r *Runner) persist(kind, key string, v interface{}) {
 // retried by the next request instead of poisoning the key. The
 // fault-injection point fires once per stage execution (a no-op outside
 // the fault suite).
-func (r *Runner) guarded(kind, key string, f func() (interface{}, error)) (v interface{}, err error) {
+func (k stageKind[T]) guarded(r *Runner, key string, f func() (T, error)) (v T, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			atomic.AddUint64(&r.stagePanics, 1)
-			v, err = nil, &StagePanicError{Stage: kind, Key: key, Value: rec, Stack: string(debug.Stack())}
+			r.count(stagePanics)
+			var zero T
+			v, err = zero, &StagePanicError{Stage: k.name, Key: key, Value: rec, Stack: string(debug.Stack())}
 		}
 	}()
-	if err := faults.Point(faults.SiteStage + kind); err != nil {
-		return nil, err
+	if err := faults.Point(faults.SiteStage + k.name); err != nil {
+		return v, err
 	}
 	v, err = f()
 	var pe *parallel.PanicError
 	if errors.As(err, &pe) {
-		atomic.AddUint64(&r.stagePanics, 1)
-		v, err = nil, &StagePanicError{Stage: kind, Key: key, Value: pe.Value, Stack: string(pe.Stack)}
+		r.count(stagePanics)
+		var zero T
+		v, err = zero, &StagePanicError{Stage: k.name, Key: key, Value: pe.Value, Stack: string(pe.Stack)}
 	}
 	return v, err
 }
@@ -482,7 +492,7 @@ func traceStageKey(s Scenario) string {
 // traceStage serves the scenario's recorded trace through the memo
 // layers, capturing it from one live functional run on first use.
 func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, error) {
-	v, err := r.stage(ctx, stageTrace, traceStageKey(s), func() (interface{}, error) {
+	return stage(ctx, r, traceKind, traceStageKey(s), func() (*tracefile.Trace, error) {
 		w, err := workloads.Build(s.Workload, s.buildConfig())
 		if err != nil {
 			return nil, err
@@ -491,23 +501,15 @@ func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, 
 		if err != nil {
 			return nil, err
 		}
-		atomic.AddUint64(&r.traceBytes, uint64(t.Size()))
+		r.counts[traceBytes].Add(uint64(t.Size()))
 		return t, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*tracefile.Trace), nil
 }
 
 // workload returns the factory the pipeline stages build app instances
-// from: a replay workload backed by the trace stage (the default — a
-// warm trace makes every later stage skip functional execution
-// entirely), or the live functional workload under trace mode "live".
+// from: a replay workload backed by the trace stage, so a warm trace
+// makes every later stage skip functional execution entirely.
 func (r *Runner) workload(ctx context.Context, s Scenario) (core.Workload, error) {
-	if s.Trace == TraceLive {
-		return workloads.Build(s.Workload, s.buildConfig())
-	}
 	t, err := r.traceStage(ctx, s)
 	if err != nil {
 		return core.Workload{}, err
@@ -538,7 +540,7 @@ func profileStageKey(s Scenario) string {
 }
 
 func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve, error) {
-	v, err := r.stage(ctx, stageProfile, profileStageKey(s), func() (interface{}, error) {
+	return stage(ctx, r, profileKind, profileStageKey(s), func() ([]profile.Curve, error) {
 		// Nested stage lookups are detached from ctx: the closure may be
 		// computing on behalf of many single-flight waiters.
 		w, err := r.workload(context.Background(), s)
@@ -551,10 +553,6 @@ func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve,
 		}
 		return core.Profile(w, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]profile.Curve), nil
 }
 
 // optimizeKey extends profileKey with the solver choice.
@@ -576,7 +574,7 @@ func optimizeStageKey(s Scenario) string {
 }
 
 func (r *Runner) optimizeStage(ctx context.Context, s Scenario) (*core.OptimizeResult, error) {
-	v, err := r.stage(ctx, stageOptimize, optimizeStageKey(s), func() (interface{}, error) {
+	return stage(ctx, r, optimizeKind, optimizeStageKey(s), func() (*core.OptimizeResult, error) {
 		// The closure may be computing on behalf of many single-flight
 		// waiters; once started it completes regardless of the first
 		// caller's fate, so the nested profile lookup is detached from
@@ -600,10 +598,6 @@ func (r *Runner) optimizeStage(ctx context.Context, s Scenario) (*core.OptimizeR
 		}
 		return core.OptimizeFromCurves(app, curves, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.OptimizeResult), nil
 }
 
 // runKey captures exactly what one measured execution depends on. The
@@ -630,7 +624,7 @@ func runStageKey(s Scenario, strat core.Strategy, allocKey string) string {
 }
 
 func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, alloc core.Allocation, allocKey string) (*core.Result, error) {
-	v, err := r.stage(ctx, stageRun, runStageKey(s, strat, allocKey), func() (interface{}, error) {
+	return stage(ctx, r, runKind, runStageKey(s, strat, allocKey), func() (*core.Result, error) {
 		w, err := r.workload(context.Background(), s)
 		if err != nil {
 			return nil, err
@@ -643,10 +637,6 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		rc := core.RunConfig{Platform: pc, Strategy: strat, Alloc: alloc}
 		return core.Run(w, rc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Result), nil
 }
 
 // allocSpec returns the spec whose optimization provides the partitioned
@@ -678,27 +668,24 @@ func (s Scenario) StageKeys() (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make(map[string]string)
+	keys := map[string]string{"trace": traceKind.name + "|" + traceStageKey(n)}
+	if a := allocSpec(n); a.Workload != n.Workload {
+		keys["trace.alloc"] = traceKind.name + "|" + traceStageKey(a)
+	}
 	switch n.Partition {
 	case PartitionProfile:
-		keys["profile"] = stageProfile + "|" + profileStageKey(n)
+		keys["profile"] = profileKind.name + "|" + profileStageKey(n)
 	case PartitionOptimize:
-		keys["profile"] = stageProfile + "|" + profileStageKey(n)
-		keys["optimize"] = stageOptimize + "|" + optimizeStageKey(n)
+		keys["profile"] = profileKind.name + "|" + profileStageKey(n)
+		keys["optimize"] = optimizeKind.name + "|" + optimizeStageKey(n)
 	case PartitionShared:
-		keys["run.shared"] = stageRun + "|" + runStageKey(n, core.Shared, "")
+		keys["run.shared"] = runKind.name + "|" + runStageKey(n, core.Shared, "")
 	case PartitionOptimized:
 		a := allocSpec(n)
-		keys["profile"] = stageProfile + "|" + profileStageKey(a)
-		keys["optimize"] = stageOptimize + "|" + optimizeStageKey(a)
-		keys["run.shared"] = stageRun + "|" + runStageKey(n, core.Shared, "")
-		keys["run.partitioned"] = stageRun + "|" + runStageKey(n, core.Partitioned, allocStageKey(n))
-	}
-	if n.Trace != TraceLive {
-		keys["trace"] = stageTrace + "|" + traceStageKey(n)
-		if a := allocSpec(n); a.Workload != n.Workload {
-			keys["trace.alloc"] = stageTrace + "|" + traceStageKey(a)
-		}
+		keys["profile"] = profileKind.name + "|" + profileStageKey(a)
+		keys["optimize"] = optimizeKind.name + "|" + optimizeStageKey(a)
+		keys["run.shared"] = runKind.name + "|" + runStageKey(n, core.Shared, "")
+		keys["run.partitioned"] = runKind.name + "|" + runStageKey(n, core.Partitioned, allocStageKey(n))
 	}
 	return keys, nil
 }
@@ -725,7 +712,7 @@ func (r *Runner) Run(s Scenario) (*Result, error) {
 func (r *Runner) RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			atomic.AddUint64(&r.stagePanics, 1)
+			r.count(stagePanics)
 			p := &StagePanicError{Stage: "scenario", Value: rec, Stack: string(debug.Stack())}
 			if res == nil {
 				res = &Result{SchemaVersion: report.SchemaVersion, Scenario: s}
@@ -742,7 +729,6 @@ func (r *Runner) RunContext(ctx context.Context, s Scenario) (res *Result, err e
 	}
 	keyed := n
 	keyed.Name = ""
-	keyed.Trace = "" // replay ≡ live; the mode is non-semantic (see Key)
 	res = &Result{SchemaVersion: report.SchemaVersion, Key: hashJSON(keyed), Scenario: n}
 	if err := r.execute(ctx, n, res); err != nil {
 		res.Error = err.Error()

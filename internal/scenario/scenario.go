@@ -7,6 +7,14 @@
 // simulate once); a Result is the structured, versioned document every
 // table and figure of the evaluation is derived from.
 //
+// A scenario runs as up to four pipeline stages: trace (one functional
+// capture of the workload's access streams), profile (the per-entity
+// miss curves), optimize (the partitioning solve) and run (a measured
+// shared or partitioned execution). Every stage after the capture is
+// driven by replaying the recorded trace; replay is proven bit-identical
+// to re-running the functional applications, so live execution survives
+// only as a test oracle, not as a spec field.
+//
 // Scenarios are data, not Go functions: new workload mixes, geometries
 // and policies are defined in JSON (or constructed programmatically),
 // batched through Runner.RunBatch, and served over HTTP by the
@@ -104,26 +112,7 @@ type Scenario struct {
 	// scenario's own — the compositionality ablation validates a solo
 	// task under the full application's allocation this way.
 	AllocWorkload string `json:"alloc_workload,omitempty"`
-	// Trace selects the functional-execution source for the pipeline
-	// stages: "replay" (the default; canonicalized to empty) drives the
-	// profiler and the measured executions from the workload's recorded
-	// access-stream trace, captured once per (workload, scale, seed) by
-	// the trace stage and persisted through the store layers; "live"
-	// re-runs the functional apps for every stage. Replay is proven
-	// bit-identical to live (see internal/tracefile), so the choice
-	// cannot affect results and is cleared from the content address —
-	// both modes share every stage key.
-	Trace string `json:"trace,omitempty"`
 }
-
-// Trace modes (Scenario.Trace).
-const (
-	// TraceReplay drives pipeline stages from the recorded trace
-	// (default; normalizes to the empty string).
-	TraceReplay = "replay"
-	// TraceLive re-runs the functional applications for every stage.
-	TraceLive = "live"
-)
 
 // CacheSpec overrides a cache geometry. Fields are pointers so that an
 // explicit zero is distinguishable from "field absent": absent (nil)
@@ -499,14 +488,6 @@ func (s Scenario) Normalize() (Scenario, error) {
 		}
 	}
 
-	switch n.Trace {
-	case "", TraceReplay:
-		n.Trace = "" // replay is the canonical default
-	case TraceLive:
-	default:
-		return n, fmt.Errorf("scenario: unknown trace mode %q (want %q or %q)", n.Trace, TraceReplay, TraceLive)
-	}
-
 	if n.Runs == 0 {
 		n.Runs = 2
 	}
@@ -578,7 +559,6 @@ func (s Scenario) Key() (string, error) {
 		return "", err
 	}
 	n.Name = ""
-	n.Trace = "" // replay ≡ live, so the mode is non-semantic
 	return hashJSON(n), nil
 }
 

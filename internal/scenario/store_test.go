@@ -197,7 +197,7 @@ func TestRunnerDegradesToMemoryOnly(t *testing.T) {
 // builds, so the envelope's field names, order, and version byte must
 // not drift without a StageDocVersion bump.
 func TestStageDocEnvelopeGolden(t *testing.T) {
-	b, err := encodeStage(stageProfile, []int{1, 2})
+	b, err := jsonKind[[]int]("profile", profileRuns).encode([]int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +211,13 @@ func TestStageDocEnvelopeGolden(t *testing.T) {
 // foreign version or a kind swap is an error (the runner treats it as a
 // miss and recomputes), never a silently misread value.
 func TestStageDocVersionAndKindMismatch(t *testing.T) {
-	if _, err := decodeStage(stageProfile, []byte(`{"v":99,"kind":"profile","data":[]}`)); err == nil {
+	if _, err := profileKind.load([]byte(`{"v":99,"kind":"profile","data":[]}`)); err == nil {
 		t.Error("future-version document must not decode")
 	}
-	if _, err := decodeStage(stageOptimize, []byte(`{"v":1,"kind":"profile","data":[]}`)); err == nil {
+	if _, err := optimizeKind.load([]byte(`{"v":1,"kind":"profile","data":[]}`)); err == nil {
 		t.Error("kind-swapped document must not decode")
 	}
-	if _, err := decodeStage(stageProfile, []byte(`not json`)); err == nil {
+	if _, err := profileKind.load([]byte(`not json`)); err == nil {
 		t.Error("garbage must not decode")
 	}
 }
@@ -237,11 +237,11 @@ func TestStageDocRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := encodeStage(stageProfile, curves)
+	b, err := profileKind.encode(curves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := decodeStage(stageProfile, b)
+	v, err := profileKind.load(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestTraceStageDocIsTheContainer(t *testing.T) {
 	var doc []byte
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
-		if doc, err = encodeStage(stageTrace, tr); err != nil {
+		if doc, err = traceKind.encode(tr); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -289,11 +289,11 @@ func TestTraceStageDocIsTheContainer(t *testing.T) {
 	if len(doc) != tr.Size() || &doc[0] != &tr.Bytes()[0] {
 		t.Error("the trace document must be t.Bytes() itself")
 	}
-	v, err := decodeStage(stageTrace, doc)
+	back, err := traceKind.load(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back := v.(*tracefile.Trace); back.Totals != tr.Totals {
+	if back.Totals != tr.Totals {
 		t.Errorf("decoded trace totals %+v, want %+v", back.Totals, tr.Totals)
 	}
 }
@@ -308,13 +308,13 @@ func TestLegacyTraceEnvelopeRecaptures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := stageTrace + "|" + traceStageKey(n)
+	key := traceKind.name + "|" + traceStageKey(n)
 	tr := captureSmall(t)
 	data, err := json.Marshal(tr.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := json.Marshal(stageDoc{Version: 1, Kind: stageTrace, Data: data})
+	legacy, err := json.Marshal(stageDoc{Version: 1, Kind: traceKind.name, Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,80 +38,87 @@ type stageDoc struct {
 	Data    json.RawMessage `json:"data"`
 }
 
-// encodeStage serializes one completed stage value ([]profile.Curve,
-// *core.OptimizeResult, *core.Result or *tracefile.Trace, per kind)
-// into its document. A trace's document is t.Bytes(), not a copy; the
-// wire golden in internal/tracefile pins it.
-func encodeStage(kind string, v interface{}) ([]byte, error) {
-	if kind == stageTrace {
-		t, ok := v.(*tracefile.Trace)
-		if !ok {
-			return nil, fmt.Errorf("scenario: encoding trace stage: unexpected value %T", v)
-		}
-		return t.Bytes(), nil
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: encoding %s stage: %w", kind, err)
-	}
-	doc, err := json.Marshal(stageDoc{Version: StageDocVersion, Kind: kind, Data: data})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: encoding %s stage: %w", kind, err)
-	}
-	return doc, nil
+// stageKind declares one pipeline stage kind: its name (the memo-key
+// prefix and the stage.<name> fault site), the counter bumped when the
+// stage executes, the extra counters bumped when a lookup is served
+// without executing, and the codec of its persisted document. read,
+// when set, runs before every stored value is served — decoded or not —
+// and fails it exactly like a corrupt document.
+type stageKind[T any] struct {
+	name   string
+	runs   counter
+	hits   []counter
+	encode func(T) ([]byte, error)
+	decode func([]byte) (T, error)
+	read   func() error
 }
 
-// decodeStage deserializes a stage document back into the live value
-// the memo serves. An envelope's kind and version must match, and a
-// trace document must decode as a CMTR container: any mismatch is an
+// The stage kinds of the pipeline, each declared once.
+var (
+	// A trace's document is t.Bytes(), not a copy; the wire golden in
+	// internal/tracefile pins it. The trace.read injection point makes
+	// corrupt-trace handling provable: an injected error must read as a
+	// miss and recapture, exactly like a real CRC failure.
+	traceKind = stageKind[*tracefile.Trace]{
+		name: "trace", runs: traceRuns, hits: []counter{traceHits},
+		encode: func(t *tracefile.Trace) ([]byte, error) { return t.Bytes(), nil },
+		decode: tracefile.Decode,
+		read:   func() error { return faults.Point(faults.SiteTraceRead) },
+	}
+	profileKind  = jsonKind[[]profile.Curve]("profile", profileRuns)
+	optimizeKind = jsonKind[*core.OptimizeResult]("optimize", optimizeRuns)
+	runKind      = jsonKind[*core.Result]("run", runRuns)
+)
+
+// jsonKind declares a stage kind persisted as the versioned JSON
+// envelope. A document's version and kind must match: a mismatch is an
 // error the runner treats as a cache miss, not as corruption (the store
 // layer already verified the bytes' integrity).
-func decodeStage(kind string, b []byte) (interface{}, error) {
-	if kind == stageTrace {
-		// The injection point makes corrupt-trace handling provable: an
-		// injected error here must read as a miss and recapture, exactly
-		// like a real CRC failure below.
-		if err := faults.Point(faults.SiteTraceRead); err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		t, err := tracefile.Decode(b)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		return t, nil
+func jsonKind[T any](name string, runs counter) stageKind[T] {
+	return stageKind[T]{
+		name: name, runs: runs,
+		encode: func(v T) ([]byte, error) {
+			data, err := json.Marshal(v)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(stageDoc{Version: StageDocVersion, Kind: name, Data: data})
+		},
+		decode: func(b []byte) (v T, err error) {
+			var doc stageDoc
+			if err := json.Unmarshal(b, &doc); err != nil {
+				return v, err
+			}
+			if doc.Version != StageDocVersion {
+				return v, fmt.Errorf("document version %d (want %d)", doc.Version, StageDocVersion)
+			}
+			if doc.Kind != name {
+				return v, fmt.Errorf("document is a %q stage", doc.Kind)
+			}
+			err = json.Unmarshal(doc.Data, &v)
+			return v, err
+		},
 	}
-	var doc stageDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
+}
+
+// checkRead runs the kind's read hook, if any.
+func (k stageKind[T]) checkRead() error {
+	if k.read == nil {
+		return nil
 	}
-	if doc.Version != StageDocVersion {
-		return nil, fmt.Errorf("scenario: %s stage document version %d (want %d)", kind, doc.Version, StageDocVersion)
+	return k.read()
+}
+
+// load deserializes a stored document back into the live value the
+// memo serves.
+func (k stageKind[T]) load(b []byte) (T, error) {
+	err := k.checkRead()
+	var v T
+	if err == nil {
+		v, err = k.decode(b)
 	}
-	if doc.Kind != kind {
-		return nil, fmt.Errorf("scenario: stage document is %q, not %q", doc.Kind, kind)
-	}
-	var v interface{}
-	switch kind {
-	case stageProfile:
-		var curves []profile.Curve
-		if err := json.Unmarshal(doc.Data, &curves); err != nil {
-			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
-		}
-		v = curves
-	case stageOptimize:
-		opt := &core.OptimizeResult{}
-		if err := json.Unmarshal(doc.Data, opt); err != nil {
-			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
-		}
-		v = opt
-	case stageRun:
-		res := &core.Result{}
-		if err := json.Unmarshal(doc.Data, res); err != nil {
-			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
-		}
-		v = res
-	default:
-		return nil, fmt.Errorf("scenario: unknown stage kind %q", kind)
+	if err != nil {
+		return v, fmt.Errorf("scenario: decoding %s stage: %w", k.name, err)
 	}
 	return v, nil
 }

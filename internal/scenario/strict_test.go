@@ -90,3 +90,15 @@ func TestSplitSpecsStrictBatchDocument(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStrictRejectsTraceMode checks the retired trace-mode knob is
+// an unknown field: replay is the runner's only workload source, and a
+// spec still asking for live execution fails naming the field instead of
+// silently running replay.
+func TestDecodeStrictRejectsTraceMode(t *testing.T) {
+	var s Scenario
+	err := DecodeStrict([]byte(`{"workload":"jpeg1-only","trace":"live"}`), &s)
+	if err == nil || !strings.Contains(err.Error(), `"trace"`) {
+		t.Errorf("a spec carrying trace must be rejected naming the field, got %v", err)
+	}
+}

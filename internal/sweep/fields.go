@@ -62,66 +62,17 @@ func levelProp(field string) (level, prop string, ok bool) {
 	return rest[:i], rest[i+1:], true
 }
 
-// decodeTo strictly decodes one axis value into the field's Go type.
-func decodeTo(raw json.RawMessage, v interface{}) error {
-	if err := scenario.DecodeStrict(raw, v); err != nil {
-		return fmt.Errorf("decoding value %s: %w", raw, err)
-	}
-	return nil
-}
-
-func stringField(set func(*scenario.Scenario, string)) fieldDef {
-	return fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v string
-		if err := decodeTo(raw, &v); err != nil {
-			return err
+// field builds the fieldDef of an axis whose values decode strictly
+// into a T and are written onto a spec by set. rangeable marks integer
+// fields that accept an Axis.Range; target is the scenario path written
+// ("" = the field name itself).
+func field[T any](rangeable bool, target string, set func(*scenario.Scenario, T) error) fieldDef {
+	return fieldDef{rangeable: rangeable, target: target, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
+		var v T
+		if err := scenario.DecodeStrict(raw, &v); err != nil {
+			return fmt.Errorf("decoding value %s: %w", raw, err)
 		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func boolField(set func(*scenario.Scenario, bool)) fieldDef {
-	return fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v bool
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func intField(set func(*scenario.Scenario, int)) fieldDef {
-	return fieldDef{rangeable: true, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func uintField(set func(*scenario.Scenario, uint64)) fieldDef {
-	return fieldDef{rangeable: true, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v uint64
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func floatField(set func(*scenario.Scenario, float64)) fieldDef {
-	return fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v float64
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
+		return set(s, v)
 	}}
 }
 
@@ -187,50 +138,40 @@ func hierarchyField(name string) (fieldDef, bool) {
 		return fieldDef{}, false
 	}
 	target := "platform.hierarchy." + level + "." + prop
-	setInt := func(assign func(*scenario.LevelSpec, int)) fieldDef {
-		return fieldDef{rangeable: true, target: target, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-			var v int
-			if err := decodeTo(raw, &v); err != nil {
-				return err
-			}
-			l, err := levelOf(platformOf(s), level)
-			if err != nil {
-				return err
-			}
-			assign(l, v)
-			return nil
-		}}
-	}
 	switch prop {
 	case "sets":
-		return setInt(func(l *scenario.LevelSpec, v int) { l.Sets = &v }), true
+		return levelField(level, target, func(l *scenario.LevelSpec, v *int) { l.Sets = v }), true
 	case "ways":
-		return setInt(func(l *scenario.LevelSpec, v int) { l.Ways = &v }), true
+		return levelField(level, target, func(l *scenario.LevelSpec, v *int) { l.Ways = v }), true
 	case "line_size":
-		return setInt(func(l *scenario.LevelSpec, v int) { l.LineSize = &v }), true
+		return levelField(level, target, func(l *scenario.LevelSpec, v *int) { l.LineSize = v }), true
 	case "hit_latency":
-		return fieldDef{rangeable: true, target: target, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-			var v uint64
-			if err := decodeTo(raw, &v); err != nil {
-				return err
-			}
-			l, err := levelOf(platformOf(s), level)
-			if err != nil {
-				return err
-			}
-			l.HitLatency = &v
-			return nil
-		}}, true
+		return levelField(level, target, func(l *scenario.LevelSpec, v *uint64) { l.HitLatency = v }), true
 	case "kb":
-		return fieldDef{rangeable: true, target: "platform.hierarchy." + level + ".sets", apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-			var kb int
-			if err := decodeTo(raw, &kb); err != nil {
-				return err
-			}
-			return applyKB(s, level, kb)
-		}}, true
+		return kbField(level), true
 	}
 	return fieldDef{}, false
+}
+
+// levelField builds the rangeable axis of one property of a named
+// hierarchy level.
+func levelField[T any](level, target string, set func(*scenario.LevelSpec, *T)) fieldDef {
+	return field(true, target, func(s *scenario.Scenario, v T) error {
+		l, err := levelOf(platformOf(s), level)
+		if err != nil {
+			return err
+		}
+		set(l, &v)
+		return nil
+	})
+}
+
+// kbField builds a level's capacity axis (see applyKB); it writes, and
+// so conflicts with, the level's sets.
+func kbField(level string) fieldDef {
+	return field(true, "platform.hierarchy."+level+".sets", func(s *scenario.Scenario, kb int) error {
+		return applyKB(s, level, kb)
+	})
 }
 
 // applyKB sets a level's total capacity in KiB, deriving the set count
@@ -267,35 +208,21 @@ func applyKB(s *scenario.Scenario, level string, kb int) error {
 // nesting. The platform.l1/l2 entries are the legacy aliases of the
 // platform.hierarchy.* paths and share their targets.
 var fields = map[string]fieldDef{
-	"workload":       stringField(func(s *scenario.Scenario, v string) { s.Workload = v }),
-	"scale":          stringField(func(s *scenario.Scenario, v string) { s.Scale = v }),
-	"solver":         stringField(func(s *scenario.Scenario, v string) { s.Solver = v }),
-	"partition":      stringField(func(s *scenario.Scenario, v string) { s.Partition = v }),
-	"profile_engine": stringField(func(s *scenario.Scenario, v string) { s.ProfileEngine = v }),
-	"profile_level":  stringField(func(s *scenario.Scenario, v string) { s.ProfileLevel = v }),
-	"exec_engine":    stringField(func(s *scenario.Scenario, v string) { s.ExecEngine = v }),
-	"alloc_workload": stringField(func(s *scenario.Scenario, v string) { s.AllocWorkload = v }),
-	"migration":      boolField(func(s *scenario.Scenario, v bool) { s.Migration = v }),
-	"seed":           uintField(func(s *scenario.Scenario, v uint64) { s.Seed = v }),
-	"runs":           intField(func(s *scenario.Scenario, v int) { s.Runs = v }),
-	"sizes": {apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v []int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		s.Sizes = v
-		return nil
-	}},
+	"workload":       field(false, "", func(s *scenario.Scenario, v string) error { s.Workload = v; return nil }),
+	"scale":          field(false, "", func(s *scenario.Scenario, v string) error { s.Scale = v; return nil }),
+	"solver":         field(false, "", func(s *scenario.Scenario, v string) error { s.Solver = v; return nil }),
+	"partition":      field(false, "", func(s *scenario.Scenario, v string) error { s.Partition = v; return nil }),
+	"profile_engine": field(false, "", func(s *scenario.Scenario, v string) error { s.ProfileEngine = v; return nil }),
+	"profile_level":  field(false, "", func(s *scenario.Scenario, v string) error { s.ProfileLevel = v; return nil }),
+	"exec_engine":    field(false, "", func(s *scenario.Scenario, v string) error { s.ExecEngine = v; return nil }),
+	"alloc_workload": field(false, "", func(s *scenario.Scenario, v string) error { s.AllocWorkload = v; return nil }),
+	"migration":      field(false, "", func(s *scenario.Scenario, v bool) error { s.Migration = v; return nil }),
+	"seed":           field(true, "", func(s *scenario.Scenario, v uint64) error { s.Seed = v; return nil }),
+	"runs":           field(true, "", func(s *scenario.Scenario, v int) error { s.Runs = v; return nil }),
+	"sizes":          field(false, "", func(s *scenario.Scenario, v []int) error { s.Sizes = v; return nil }),
 
-	"platform.num_cpus": {rangeable: true, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		platformOf(s).NumCPUs = &v
-		return nil
-	}},
-	"platform.base_cpi": floatField(func(s *scenario.Scenario, v float64) { platformOf(s).BaseCPI = &v }),
+	"platform.num_cpus": field(true, "", func(s *scenario.Scenario, v int) error { platformOf(s).NumCPUs = &v; return nil }),
+	"platform.base_cpi": field(false, "", func(s *scenario.Scenario, v float64) error { platformOf(s).BaseCPI = &v; return nil }),
 
 	"platform.l1.sets":      aliasLevelInt("l1", "sets", func(c *scenario.CacheSpec, v *int) { c.Sets = v }),
 	"platform.l1.ways":      aliasLevelInt("l1", "ways", func(c *scenario.CacheSpec, v *int) { c.Ways = v }),
@@ -303,36 +230,22 @@ var fields = map[string]fieldDef{
 	"platform.l2.sets":      aliasLevelInt("l2", "sets", func(c *scenario.CacheSpec, v *int) { c.Sets = v }),
 	"platform.l2.ways":      aliasLevelInt("l2", "ways", func(c *scenario.CacheSpec, v *int) { c.Ways = v }),
 	"platform.l2.line_size": aliasLevelInt("l2", "line_size", func(c *scenario.CacheSpec, v *int) { c.LineSize = v }),
-	"platform.l2_hit_latency": {rangeable: true, target: "platform.hierarchy.l2.hit_latency", apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v uint64
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
+	"platform.l2_hit_latency": field(true, "platform.hierarchy.l2.hit_latency", func(s *scenario.Scenario, v uint64) error {
 		platformOf(s).L2HitLatency = &v
 		return nil
-	}},
+	}),
 
 	// platform.l2.kb is the legacy spelling of the shared level's
 	// capacity; platform.hierarchy.<level>.kb generalizes it to any
 	// level of any topology.
-	"platform.l2.kb": {rangeable: true, target: "platform.hierarchy.l2.sets", apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var kb int
-		if err := decodeTo(raw, &kb); err != nil {
-			return err
-		}
-		return applyKB(s, "l2", kb)
-	}},
+	"platform.l2.kb": kbField("l2"),
 }
 
 // aliasLevelInt builds the legacy l1/l2 alias setter: it writes the
 // legacy CacheSpec field (which overlays the equally-named hierarchy
 // level) and shares the hierarchy path's conflict target.
 func aliasLevelInt(level, prop string, set func(*scenario.CacheSpec, *int)) fieldDef {
-	return fieldDef{rangeable: true, target: "platform.hierarchy." + level + "." + prop, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
+	return field(true, "platform.hierarchy."+level+"."+prop, func(s *scenario.Scenario, v int) error {
 		p := platformOf(s)
 		cs := &p.L1
 		if level == "l2" {
@@ -340,7 +253,7 @@ func aliasLevelInt(level, prop string, set func(*scenario.CacheSpec, *int)) fiel
 		}
 		set(cs, &v)
 		return nil
-	}}
+	})
 }
 
 // Fields lists the sweepable field names, sorted, with the dynamic
