@@ -107,22 +107,48 @@ type OptimizeResult struct {
 	Solver   Solver
 }
 
+// profileJitter scales the scheduling quantum of each profiling
+// repetition. Repetition 0 runs the unjittered quantum, so it is the
+// plain shared-cache run.
+var profileJitter = [...]float64{1.0, 0.85, 1.2, 0.7, 1.4, 0.95, 1.1}
+
+// MaxProfileRuns bounds OptimizeConfig.Runs: one repetition per entry of
+// the jitter table. A repetition beyond it would replay an earlier one's
+// schedule exactly and add nothing to the average.
+const MaxProfileRuns = len(profileJitter)
+
 // Profile runs the workload oc.Runs times under the shared-cache strategy
 // with the profiler tapping the L2, and returns the averaged miss curves.
-// Scheduling quanta are jittered across runs to perturb task
-// interleavings, which is what makes averaging meaningful for the shared
-// sections (task-private streams are identical across runs by Kahn
-// determinism).
+// See ProfileRun, which also returns the shared baseline.
+func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
+	curves, _, err := ProfileRun(w, oc)
+	return curves, err
+}
+
+// ProfileRun runs the workload oc.Runs times under the shared-cache
+// strategy with the profiler tapping the L2, and returns the averaged
+// miss curves together with repetition 0's result. Scheduling quanta are
+// jittered across runs to perturb task interleavings, which is what
+// makes averaging meaningful for the shared sections (task-private
+// streams are identical across runs by Kahn determinism).
+//
+// Repetition 0 runs the configured quantum unjittered and the profiler
+// is a pure observer, so its result is exactly what Run returns for the
+// same workload and platform under Shared: callers get the shared
+// baseline without simulating it a second time.
 //
 // The repetitions are independent simulations — each owns its app,
 // platform and profiler — so they fan out over a bounded worker pool
 // (oc.Workers). Runs are averaged in repetition order, so the result is
 // identical to the sequential path.
-func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
+func ProfileRun(w Workload, oc OptimizeConfig) (curves []profile.Curve, baseline *Result, err error) {
 	oc.fillDefaults()
+	if oc.Runs < 1 || oc.Runs > MaxProfileRuns {
+		return nil, nil, fmt.Errorf("core: %d profiling runs, want 1..%d", oc.Runs, MaxProfileRuns)
+	}
 	app, err := w.Factory()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	entities := app.Entities()
 	names := make([]string, len(entities))
@@ -135,7 +161,7 @@ func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
 	}
 	geom, err := oc.profileGeom()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pcfg := profile.Config{
 		Sizes:    oc.Sizes,
@@ -151,11 +177,10 @@ func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
 	apps[0] = app
 	for r := 1; r < oc.Runs; r++ {
 		if apps[r], err = w.Factory(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	runs := make([][]profile.Curve, oc.Runs)
-	jitter := []float64{1.0, 0.85, 1.2, 0.7, 1.4, 0.95, 1.1}
 	err = parallel.Do(parallel.Workers(oc.Workers), oc.Runs, func(r int) error {
 		prof, err := profile.New(pcfg, names, regionOf)
 		if err != nil {
@@ -168,17 +193,28 @@ func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
 			L2Observer:   prof.Observe,
 			ObserveLevel: oc.ProfileLevel,
 		}
-		rc.Platform.Sched.Quantum = int64(float64(oc.Platform.Sched.Quantum) * jitter[r%len(jitter)])
-		if _, err := RunApp(apps[r], rc); err != nil {
+		rc.Platform.Sched.Quantum = int64(float64(oc.Platform.Sched.Quantum) * profileJitter[r])
+		res, err := RunApp(apps[r], rc)
+		if err != nil {
+			// Like the platform arena, the profiler's state is not
+			// recycled on failure: a killed task may still feed it.
 			return fmt.Errorf("core: profiling run %d: %w", r, err)
 		}
 		runs[r] = prof.Curves()
+		prof.Release()
+		if r == 0 {
+			baseline = res
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return profile.Average(runs)
+	curves, err = profile.Average(runs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return curves, baseline, nil
 }
 
 // Optimize implements the proposed optimization method of section 3.2:

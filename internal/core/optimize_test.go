@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/profile"
@@ -32,6 +33,51 @@ func TestProfileProducesCurves(t *testing.T) {
 	// 32 units (64 KiB): the curve must fall significantly.
 	if lc.Misses[0] < 4*lc.Misses[len(lc.Misses)-1] {
 		t.Errorf("looper curve too flat: %v", lc.Misses)
+	}
+}
+
+// TestProfileRunBaselineIsSharedRun pins the property the scenario
+// runner's baseline reuse rests on: repetition 0 is unjittered and the
+// profiler only observes, so ProfileRun's baseline is exactly Run's
+// shared result.
+func TestProfileRunBaselineIsSharedRun(t *testing.T) {
+	oc := optCfg()
+	oc.Runs = 3
+	curves, baseline, err := ProfileRun(loopStreamWorkload(), oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Profile(loopStreamWorkload(), oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(curves)
+	b, _ := json.Marshal(want)
+	if string(a) != string(b) {
+		t.Error("ProfileRun's curves differ from Profile's")
+	}
+	shared, err := Run(loopStreamWorkload(), RunConfig{Platform: oc.Platform, Strategy: Shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ = json.Marshal(baseline)
+	b, _ = json.Marshal(shared)
+	if string(a) != string(b) {
+		t.Errorf("profiled baseline differs from the shared run\n got %s\nwant %s", a, b)
+	}
+}
+
+// TestProfileRunsBounded checks the repetition count stays within the
+// jitter table: beyond it a repetition would replay an earlier schedule.
+func TestProfileRunsBounded(t *testing.T) {
+	oc := optCfg()
+	oc.Runs = MaxProfileRuns + 1
+	if _, err := Profile(loopStreamWorkload(), oc); err == nil {
+		t.Errorf("%d profiling runs accepted (max %d)", oc.Runs, MaxProfileRuns)
+	}
+	oc.Runs = -1
+	if _, err := Profile(loopStreamWorkload(), oc); err == nil {
+		t.Error("negative profiling runs accepted")
 	}
 }
 

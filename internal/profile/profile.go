@@ -29,6 +29,7 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -124,6 +125,27 @@ type Profiler struct {
 	banks    [][]*cache.Cache // [entity][size], EngineBank only
 	sims     []*stackdist.Sim // [entity], EngineStackDist only
 	accesses []uint64
+	// buf backs every sim's recency stacks, taken from slotPool; nil
+	// once Released.
+	buf *[]uint64
+}
+
+// slotPool recycles the stack-distance engine's slot buffers. A profiler
+// lives for one simulation and its stacks are a fixed, exactly sized
+// block, so reusing the block saves a large zeroed allocation per
+// repetition.
+var slotPool sync.Pool // of *[]uint64
+
+// slots returns a zeroed buffer of n slots: a pooled one when large
+// enough (cleared here), else a fresh one.
+func slots(n int) *[]uint64 {
+	if b, ok := slotPool.Get().(*[]uint64); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		clear(*b)
+		return b
+	}
+	b := make([]uint64, n)
+	return &b
 }
 
 // New creates a profiler for the given entities. regionOf maps every
@@ -159,9 +181,11 @@ func New(cfg Config, names []string, regionOf map[mem.RegionID]int) (*Profiler, 
 	switch cfg.Engine {
 	case EngineStackDist:
 		sdCfg := stackdist.Config{Sizes: sizes, UnitSets: cfg.UnitSets, Ways: cfg.Ways}
+		w := stackdist.Words(sdCfg)
+		p.buf = slots(w * len(names))
 		p.sims = make([]*stackdist.Sim, len(names))
 		for e := range names {
-			sim, err := stackdist.New(sdCfg)
+			sim, err := stackdist.NewIn(sdCfg, (*p.buf)[e*w:(e+1)*w])
 			if err != nil {
 				return nil, fmt.Errorf("profile: %w", err)
 			}
@@ -226,6 +250,18 @@ func (p *Profiler) Curves() []Curve {
 		out[e] = c
 	}
 	return out
+}
+
+// Release hands the profiler's stack-distance state back to a pool the
+// next profiler draws from. Curves copies everything it returns, so
+// Release may follow it directly; after Release the profiler must not
+// be used. Releasing twice, or a bank-engine profiler, is a no-op.
+func (p *Profiler) Release() {
+	if p.buf == nil {
+		return
+	}
+	slotPool.Put(p.buf)
+	p.buf, p.sims = nil, nil
 }
 
 // Average combines curves from repeated runs into the paper's m̄ values.

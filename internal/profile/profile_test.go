@@ -253,3 +253,77 @@ func TestCurveByEntity(t *testing.T) {
 		t.Error("missing entity should be nil")
 	}
 }
+
+// TestReleasedSlotsAreCleared is the pool contract: a profiler built on
+// the slot buffer an earlier profiler released returns curves identical
+// to a fresh measurement. The earlier profiler's buffer is scribbled
+// over with 1s before Release — to the stack-distance engine, every
+// group then holds line 0 as its most recent line — and the stream
+// opens with line 0 in every region, so a reuse that skipped the clear
+// would score those cold misses as hits.
+func TestReleasedSlotsAreCleared(t *testing.T) {
+	pcfg := Config{Sizes: []int{1, 2, 4, 8}, UnitSets: 8, Ways: 4, LineSize: 64}
+	regionOf := map[mem.RegionID]int{0: 0, 1: 0, 2: 1}
+	names := []string{"taskA", "taskB"}
+	measure := func(p *Profiler) []Curve {
+		for r := range regionOf {
+			p.Observe(0, false, r)
+		}
+		x := uint64(0x9E37_79B9_7F4A_7C15)
+		for i := 0; i < 20000; i++ {
+			x ^= x >> 12
+			x ^= x << 25
+			x ^= x >> 27
+			v := x * 0x2545F4914F6CDD1D
+			p.Observe(v%1536, v&8 == 0, mem.RegionID(v%3))
+		}
+		return p.Curves()
+	}
+	// The bank engine never touches the pool: an independent reference.
+	bankCfg := pcfg
+	bankCfg.Engine = EngineBank
+	bank, err := New(bankCfg, names, regionOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := measure(bank)
+
+	// sync.Pool may drop a Put (always possible, and deliberately
+	// frequent under the race detector), so retry until a released
+	// buffer comes back.
+	reused := false
+	for attempt := 0; attempt < 100 && !reused; attempt++ {
+		old, err := New(pcfg, names, regionOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure(old)
+		dirty := *old.buf
+		for i := range dirty {
+			dirty[i] = 1
+		}
+		old.Release()
+
+		p, err := New(pcfg, names, regionOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused = &(*p.buf)[0] == &dirty[0]
+		got := measure(p)
+		p.Release()
+		for e := range want {
+			if got[e].Accesses != want[e].Accesses {
+				t.Fatalf("%s: accesses %v, want %v", want[e].Entity, got[e].Accesses, want[e].Accesses)
+			}
+			for k := range want[e].Misses {
+				if got[e].Misses[k] != want[e].Misses[k] {
+					t.Fatalf("%s at %d units: %v misses on a reused buffer, want %v",
+						want[e].Entity, want[e].Sizes[k], got[e].Misses[k], want[e].Misses[k])
+				}
+			}
+		}
+	}
+	if !reused {
+		t.Fatal("the pool never handed a released buffer back")
+	}
+}

@@ -48,6 +48,13 @@ import (
 // codec; each counter once, in the Stats.fields table. Stages build
 // their app instances from the trace stage's replay workload — the
 // runner's only workload source.
+//
+// One stage fills two keys: the profile stage's unjittered first
+// repetition is the migration-off shared run, so the stage publishes
+// that result under its run-stage key (baselineKey). An optimized
+// scenario whose shared run is that baseline (sharedFromProfile) looks
+// it up after its optimize leg, as a memo hit; the shared baseline is
+// then never simulated on its own.
 type Runner struct {
 	// workers bounds each fan-out stage (0 = GOMAXPROCS, 1 = fully
 	// sequential), exactly like experiments.Config.Workers.
@@ -441,6 +448,29 @@ func (k stageKind[T]) persist(r *Runner, key string, v T) {
 	}
 }
 
+// publish stores a value computed outside its own stage — the shared
+// baseline the profile stage simulates as repetition 0 — exactly like
+// persist: memory, decoded cache and the durable layer. A key already
+// decoded, memory-resident or in flight is left alone: its value is the
+// same bytes. Publication is not a stage run and bumps no counter; a
+// later lookup of key is an ordinary memo hit.
+func (k stageKind[T]) publish(r *Runner, key string, v T) {
+	key = k.name + "|" + key
+	if _, ok := r.decoded.Load(key); ok {
+		return
+	}
+	r.mu.Lock()
+	_, busy := r.inflight[key]
+	if !busy {
+		_, err := r.mem.Get(key)
+		busy = err == nil
+	}
+	r.mu.Unlock()
+	if !busy {
+		k.persist(r, key, v)
+	}
+}
+
 // guarded executes one stage body with panic containment: a panic on
 // this goroutine is recovered here, and a panic inside a nested
 // parallel fan-out (profiling repetitions, study legs) arrives already
@@ -539,6 +569,9 @@ func profileStageKey(s Scenario) string {
 	})
 }
 
+// profileStage serves the scenario's averaged miss curves. Computing
+// them simulates the shared baseline as a by-product (repetition 0), so
+// the stage publishes that result as the run stage baselineKey names.
 func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve, error) {
 	return stage(ctx, r, profileKind, profileStageKey(s), func() ([]profile.Curve, error) {
 		// Nested stage lookups are detached from ctx: the closure may be
@@ -551,7 +584,12 @@ func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve,
 		if err != nil {
 			return nil, err
 		}
-		return core.Profile(w, oc)
+		curves, baseline, err := core.ProfileRun(w, oc)
+		if err != nil {
+			return nil, err
+		}
+		runKind.publish(r, baselineKey(s), baseline)
+		return curves, nil
 	})
 }
 
@@ -637,6 +675,27 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		rc := core.RunConfig{Platform: pc, Strategy: strat, Alloc: alloc}
 		return core.Run(w, rc)
 	})
+}
+
+// baselineKey is the run-stage key of the shared baseline that s's
+// profile stage simulates and publishes: profiling runs the platform
+// without migration, and every other field of the run key is shared
+// with the profile key.
+func baselineKey(s Scenario) string {
+	b := s
+	b.Migration = false
+	return runStageKey(b, core.Shared, "")
+}
+
+// sharedFromProfile reports whether the optimized scenario n's shared
+// run is the baseline its own optimize leg's profile stage publishes:
+// whether baselineKey(allocSpec(n)) is n's shared-run key. The two keys
+// differ at most in the migration flag and, with an alloc_workload
+// stand-in, the workload, so the fields decide it without hashing. Then
+// the shared lookup follows the optimize leg and is a memo hit instead
+// of a simulation.
+func sharedFromProfile(n Scenario) bool {
+	return !n.Migration && allocSpec(n).Workload == n.Workload
 }
 
 // allocSpec returns the spec whose optimization provides the partitioned
@@ -766,9 +825,11 @@ func (r *Runner) execute(ctx context.Context, n Scenario, res *Result) error {
 		return nil
 
 	case PartitionOptimized:
-		// The shared baseline and the profile+optimize leg are
-		// independent simulations and run concurrently, exactly like the
-		// legacy study pipeline; the partitioned run needs the optimized
+		// When the optimize leg's profile publishes this scenario's
+		// shared baseline, the shared lookup follows that leg and is a
+		// memo hit. Otherwise (migration, an alloc_workload stand-in) the
+		// baseline is an independent simulation and the two legs run
+		// concurrently. The partitioned run needs the optimized
 		// allocation and follows.
 		var (
 			shared *core.Result
@@ -777,22 +838,26 @@ func (r *Runner) execute(ctx context.Context, n Scenario, res *Result) error {
 		legs := []func() error{
 			func() error {
 				var err error
-				shared, err = r.runStage(ctx, n, core.Shared, nil, "")
-				if err != nil {
-					return fmt.Errorf("scenario: shared run: %w", err)
-				}
-				return nil
-			},
-			func() error {
-				var err error
 				opt, err = r.optimizeStage(ctx, allocSpec(n))
 				if err != nil {
 					return fmt.Errorf("scenario: optimize: %w", err)
 				}
 				return nil
 			},
+			func() error {
+				var err error
+				shared, err = r.runStage(ctx, n, core.Shared, nil, "")
+				if err != nil {
+					return fmt.Errorf("scenario: shared run: %w", err)
+				}
+				return nil
+			},
 		}
-		if err := parallel.Do(parallel.Workers(r.workers), len(legs), func(i int) error { return legs[i]() }); err != nil {
+		workers := parallel.Workers(r.workers)
+		if sharedFromProfile(n) {
+			workers = 1
+		}
+		if err := parallel.Do(workers, len(legs), func(i int) error { return legs[i]() }); err != nil {
 			return err
 		}
 		part, err := r.runStage(ctx, n, core.Partitioned, opt.Allocation, allocStageKey(n))

@@ -88,7 +88,7 @@ type Scenario struct {
 	// "shared", "optimize" or "profile".
 	Partition string `json:"partition,omitempty"`
 	// Runs is the number of jittered profiling repetitions averaged
-	// into the miss curves; default 2.
+	// into the miss curves; default 2, at most core.MaxProfileRuns.
 	Runs int `json:"runs,omitempty"`
 	// Solver is "mckp" (default) or "ilp".
 	Solver string `json:"solver,omitempty"`
@@ -493,6 +493,9 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 	if n.Runs < 0 {
 		return n, fmt.Errorf("scenario: runs %d not positive", n.Runs)
+	}
+	if n.Runs > core.MaxProfileRuns {
+		return n, fmt.Errorf("scenario: runs %d exceeds the maximum of %d profiling repetitions", n.Runs, core.MaxProfileRuns)
 	}
 	solver, err := core.ParseSolver(n.Solver)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestScenarioJSONGolden pins the wire format of a spec: the golden
@@ -83,6 +85,7 @@ func TestInvalidSpecs(t *testing.T) {
 		{"unknown exec engine", Scenario{Workload: "mpeg2", ExecEngine: "warp"}, "unknown execution engine"},
 		{"bad size", Scenario{Workload: "mpeg2", Sizes: []int{3}}, "not a positive power of two"},
 		{"negative runs", Scenario{Workload: "mpeg2", Runs: -1}, "runs -1"},
+		{"runs past the jitter table", Scenario{Workload: "mpeg2", Runs: core.MaxProfileRuns + 1}, "runs 8 exceeds the maximum of 7"},
 		{"future version", Scenario{Workload: "mpeg2", SpecVersion: 99}, "unsupported spec_version"},
 		{"unresolved base", Scenario{Workload: "mpeg2", Base: "app1"}, "unresolved base"},
 		{"alloc workload with wrong policy", Scenario{Workload: "mpeg2", Partition: PartitionShared, AllocWorkload: "mpeg2"}, "alloc_workload"},
@@ -102,6 +105,16 @@ func TestInvalidSpecs(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestRunsBound checks the bound on runs is inclusive: one repetition
+// per jitter-table entry normalizes unchanged (TestInvalidSpecs rejects
+// one more).
+func TestRunsBound(t *testing.T) {
+	n, err := Scenario{Workload: "mpeg2", Runs: core.MaxProfileRuns}.Normalize()
+	if err != nil || n.Runs != core.MaxProfileRuns {
+		t.Fatalf("runs %d must normalize unchanged: %v (runs %d)", core.MaxProfileRuns, err, n.Runs)
 	}
 }
 

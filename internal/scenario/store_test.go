@@ -29,8 +29,9 @@ func diskRunner(t *testing.T, workers int, dir string) *Runner {
 }
 
 // fullSpec exercises every stage kind: the optimized partition runs the
-// shared baseline, the profile and optimize legs, and the partitioned
-// run — four distinct durable records.
+// profile and optimize legs (the profile publishing the shared
+// baseline) and the partitioned run — four distinct durable records
+// besides the trace.
 func fullSpec() Scenario {
 	return Scenario{Workload: "jpeg1-only", Scale: "small", Runs: 1, Partition: PartitionOptimized}
 }
@@ -48,8 +49,10 @@ func TestRunnerWarmRestartFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cold.Stats()
-	if st.StageRuns != 5 {
-		t.Fatalf("cold run must execute all 5 stages (trace + 4), got %+v", st)
+	// The shared baseline is the profile's repetition 0, published by
+	// the profile stage rather than simulated as a stage of its own.
+	if st.StageRuns != 4 || st.RunRuns != 1 {
+		t.Fatalf("cold run must execute 4 stages (trace, profile, optimize, partitioned run), got %+v", st)
 	}
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
@@ -87,9 +90,10 @@ func TestRunnerTornWriteRecovery(t *testing.T) {
 	spec := smallSpec() // profile-only: exactly one stage, one record
 
 	writer := diskRunner(t, 1, dir)
-	// Put ordinal 0 is the trace record; ordinal 1 tears the profile
-	// record the test reads back.
-	restore := faults.Activate(faults.New(7).TruncateAt(faults.SiteStorePut, 1))
+	// Put ordinal 0 is the trace record and 1 the shared baseline the
+	// profile stage publishes; ordinal 2 tears the profile record the
+	// test reads back.
+	restore := faults.Activate(faults.New(7).TruncateAt(faults.SiteStorePut, 2))
 	r1, err := writer.Run(spec)
 	restore()
 	if err != nil {

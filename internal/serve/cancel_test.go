@@ -83,9 +83,10 @@ func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
 	rn := scenario.NewRunner(cfg.Workers)
 	srv := New(cfg, rn)
 
-	// Scenario 0 is a full study: with one worker its pipeline runs the
-	// shared baseline first (the factory blocks inside that run's trace
-	// capture), then the profile+optimize leg, then the partitioned run.
+	// Scenario 0 is a full study: its pipeline runs the profile+optimize
+	// leg first (the factory blocks inside the profile's trace capture),
+	// then looks up the shared baseline the profile published, then the
+	// partitioned run.
 	const body = `{"scenarios":[
 		{"workload":"serve-test-blocking","scale":"small","runs":1},
 		{"workload":"serve-test-counted","scale":"small","runs":1,"partition":"profile"},
@@ -100,7 +101,7 @@ func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
 		srv.ServeHTTP(rec, req)
 	}()
 
-	// Wait until scenario 0 is inside its (blocked) shared run, then
+	// Wait until scenario 0 is inside its (blocked) optimize leg, then
 	// drop the client and let the in-flight stage finish.
 	select {
 	case <-blockStarted:
@@ -119,24 +120,29 @@ func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
 		t.Errorf("queued scenarios ran after the client disconnected: %d builds", n)
 	}
 	st := rn.Stats()
-	if st.RunRuns != 1 {
-		t.Errorf("only the in-flight shared run may complete (no partitioned run into a dead socket), got %+v", st)
+	if st.ProfileRuns != 1 || st.OptimizeRuns != 1 {
+		t.Errorf("only the in-flight optimize leg (and the profile inside it) may complete, got %+v", st)
 	}
-	if st.ProfileRuns != 0 || st.OptimizeRuns != 0 {
-		t.Errorf("stages after the disconnect must be canceled, not simulated: %+v", st)
+	if st.RunRuns != 0 {
+		t.Errorf("run stages after the disconnect must be canceled, not simulated (no partitioned run into a dead socket): %+v", st)
 	}
 
 	// The in-flight stage completed into the shared memo: a later
 	// request for the same scenario reuses it and only simulates the
-	// stages the disconnect canceled. 4 memo hits: the shared run plus
-	// the captured trace served to the profile, optimize, and
-	// partitioned-run closures.
+	// stage the disconnect canceled — the partitioned run. 4 memo hits:
+	// the trace served to the optimize closure during the first request,
+	// then the optimize stage, the published shared baseline and the
+	// trace served to the partitioned-run closure.
 	res, err := rn.Run(scenario.Scenario{Workload: "serve-test-blocking", Scale: "small", Runs: 1})
 	if err != nil || res.Shared == nil || res.Partitioned == nil {
 		t.Fatalf("later run of the interrupted scenario failed: %v", err)
 	}
-	if st := rn.Stats(); st.MemoHits != 4 || st.TraceHits != 3 || st.RunRuns != 2 {
-		t.Errorf("in-flight work must be reused, not wasted: %+v", st)
+	after := rn.Stats()
+	if d := after.Delta(st); d.StageRuns != 1 || d.RunRuns != 1 {
+		t.Errorf("the later request must simulate exactly the partitioned run: %+v", d)
+	}
+	if after.MemoHits != 4 || after.TraceHits != 2 {
+		t.Errorf("in-flight work must be reused, not wasted: %+v", after)
 	}
 }
 

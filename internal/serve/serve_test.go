@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -155,6 +156,36 @@ func TestBatchStreamsResultsInOrder(t *testing.T) {
 	if results[2].Error == "" || !strings.Contains(results[2].Error, "unknown workload") {
 		t.Errorf("invalid spec must stream its error, got %q", results[2].Error)
 	}
+}
+
+// TestBatchRunsBoundedPromptly is the regression for unbounded runs: a
+// spec asking for a billion profiling repetitions used to allocate and
+// build an app per repetition before simulating anything. It must come
+// back at once as that scenario's error, without failing the batch.
+func TestBatchRunsBoundedPromptly(t *testing.T) {
+	srv := testServer(t)
+	start := time.Now()
+	status, body := postBatch(t, srv.URL, `{"workload":"jpeg1-only","scale":"small","runs":1000000000,"partition":"profile"}`)
+	if status != http.StatusOK {
+		t.Fatalf("batch: %d\n%s", status, body)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("rejecting the spec took %v", d)
+	}
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want 1 result + stream.end, got %d lines:\n%s", len(lines), body)
+	}
+	var env struct {
+		Payload scenario.Result `json:"payload"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &env); err != nil {
+		t.Fatal(err)
+	}
+	if e := env.Payload.Error; !strings.Contains(e, "runs 1000000000") || !strings.Contains(e, "maximum of 7") {
+		t.Errorf("want the runs-bound error, got %q", e)
+	}
+	requireStreamEnd(t, lines[1], 1, 1, "complete")
 }
 
 // TestBatchSingleSpecObject checks a bare spec object is a valid batch

@@ -143,11 +143,87 @@ type Sim struct {
 	accesses    uint64
 }
 
+// tierSplit returns the index at which m distinct candidates split
+// into two tiers, or m when they form a single tier. Two tiers pay once
+// there are enough candidates: each tier's stacks are bounded by its own
+// largest candidate, so splitting shrinks the coarse tier's bound by the
+// ratio of the two halves' capacities.
+func tierSplit(m int) int {
+	if m >= 4 {
+		return m / 2
+	}
+	return m
+}
+
+// tierLayout is the shape of one tier's flat slot array: groups stacks
+// of stride words each (see tier.slots).
+type tierLayout struct {
+	groups   int // sets of the tier's smallest candidate
+	topSets  int // sets of the tier's largest candidate per group
+	capLimit int // stack length that forces compaction
+	stride   int
+}
+
+// layoutOf sizes a tier whose smallest candidate is first units and
+// whose largest is top units.
+func layoutOf(first, top, unitSets, ways int) tierLayout {
+	l := tierLayout{groups: first * unitSets, topSets: top / first}
+	l.capLimit = ways*l.topSets*2 + 32
+	if l.capLimit < 48 {
+		l.capLimit = 48
+	}
+	l.stride = 2 + l.topSets + l.capLimit + 4
+	return l
+}
+
+// words is the tier's slot count.
+func (l tierLayout) words() int { return l.groups * l.stride }
+
+// Words returns the number of uint64 slots a Sim for cfg keeps its
+// recency stacks in — the buffer length NewIn needs. It allocates
+// nothing; an invalid cfg needs no slots and returns 0.
+func Words(cfg Config) int {
+	if cfg.Validate() != nil {
+		return 0
+	}
+	// Candidates are powers of two, so OR-ing them yields the distinct
+	// sizes as bits, in ascending order.
+	var set uint64
+	for _, s := range cfg.Sizes {
+		set |= uint64(s)
+	}
+	nth := func(k int) int {
+		v := set
+		for ; k > 0; k-- {
+			v &= v - 1
+		}
+		return int(v & -v)
+	}
+	m := bits.OnesCount64(set)
+	split := tierSplit(m)
+	n := layoutOf(nth(0), nth(split-1), cfg.UnitSets, cfg.Ways).words()
+	if split < m {
+		n += layoutOf(nth(split), nth(m-1), cfg.UnitSets, cfg.Ways).words()
+	}
+	return n
+}
+
 // New builds a simulator. The candidate list is sorted and deduplicated;
 // Sizes reports the order in which Misses returns counts.
 func New(cfg Config) (*Sim, error) {
+	return NewIn(cfg, make([]uint64, Words(cfg)))
+}
+
+// NewIn builds a simulator whose recency stacks live in buf, which must
+// hold at least Words(cfg) slots, all zero. The Sim owns buf[:Words(cfg)]
+// until the caller drops the Sim; reusing buf for another Sim requires
+// clearing it first. Apart from where the stacks live, NewIn is New.
+func NewIn(cfg Config, buf []uint64) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if need := Words(cfg); len(buf) < need {
+		return nil, fmt.Errorf("stackdist: buffer of %d slots, need %d", len(buf), need)
 	}
 	sizes := append([]int(nil), cfg.Sizes...)
 	sort.Ints(sizes)
@@ -168,34 +244,26 @@ func New(cfg Config) (*Sim, error) {
 		ways:   uint64(cfg.Ways),
 		misses: make([]uint64, len(sizes)),
 	}
-	// Two tiers once there are enough candidates for the split to pay:
-	// each tier's stacks are bounded by its own largest candidate, so
-	// splitting shrinks the coarse tier's bound by the ratio of the two
-	// halves' capacities.
 	ranges := [][2]int{{0, len(sizes)}}
-	if len(sizes) >= 4 {
-		split := len(sizes) / 2
+	if split := tierSplit(len(sizes)); split < len(sizes) {
 		ranges = [][2]int{{0, split}, {split, len(sizes)}}
 	}
 	for _, r := range ranges {
 		first, end := r[0], r[1]
+		l := layoutOf(sizes[first], sizes[end-1], cfg.UnitSets, cfg.Ways)
 		t := &tier{
-			first:   first,
-			n:       end - first,
-			mask:    uint64(sizes[first]*cfg.UnitSets - 1),
-			tierTop: uint64(sizes[end-1]*cfg.UnitSets - 1),
-			bits:    setBits[first],
-			counts:  make([]uint32, end-first+1),
+			first:    first,
+			n:        end - first,
+			mask:     uint64(sizes[first]*cfg.UnitSets - 1),
+			tierTop:  uint64(sizes[end-1]*cfg.UnitSets - 1),
+			bits:     setBits[first],
+			counts:   make([]uint32, end-first+1),
+			topSets:  l.topSets,
+			capLimit: l.capLimit,
+			stride:   l.stride,
 		}
-		topSetsPerGroup := int((t.tierTop + 1) >> t.bits)
-		t.topSets = topSetsPerGroup
-		t.capLimit = cfg.Ways*topSetsPerGroup*2 + 32
 		t.fieldBits = 63 / uint(t.n+1)
 		t.fieldMask = 1<<t.fieldBits - 1
-		if t.capLimit < 48 {
-			t.capLimit = 48
-		}
-		t.stride = 2 + topSetsPerGroup + t.capLimit + 4
 		t.packed = uint64(t.stride+8) < 1<<t.fieldBits
 		// tz 0 stays zero: tombstones land in the trash lane.
 		for tz := 1; tz <= 64; tz++ {
@@ -208,8 +276,9 @@ func New(cfg Config) (*Sim, error) {
 			t.lanes[tz] = uint8(lane)
 			t.laneInc[tz] = 1 << (uint(lane) * t.fieldBits)
 		}
-		t.slots = make([]uint64, (int(t.mask)+1)*t.stride)
-		t.topScratch = make([]uint32, topSetsPerGroup)
+		n := l.words()
+		t.slots, buf = buf[:n:n], buf[n:]
+		t.topScratch = make([]uint32, l.topSets)
 		s.tiers = append(s.tiers, t)
 	}
 	return s, nil

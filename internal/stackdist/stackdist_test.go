@@ -241,3 +241,55 @@ func TestMatchesBankOfCachesAdversarial(t *testing.T) {
 	}
 	diffTest(t, cfg, stream)
 }
+
+// TestWordsMatchesNew checks that Words, computed from the layout math
+// alone, equals the slots New allocates — across candidate sets (with
+// duplicates and out of order), unit sizes and associativities — and
+// that NewIn carves exactly that many.
+func TestWordsMatchesNew(t *testing.T) {
+	sizeSets := [][]int{
+		{1}, {4}, {1, 2}, {2, 1, 2}, {1, 2, 4}, {1, 2, 4, 8},
+		{8, 1, 4, 2, 8}, {1, 2, 4, 8, 16, 32, 64, 128}, {16, 64, 1}, {32},
+	}
+	for _, sizes := range sizeSets {
+		for _, unitSets := range []int{1, 8, 16} {
+			for _, ways := range []int{1, 2, 4, 8, 16} {
+				cfg := Config{Sizes: sizes, UnitSets: unitSets, Ways: ways}
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := 0
+				for _, tr := range s.tiers {
+					got += len(tr.slots)
+				}
+				if w := Words(cfg); w != got {
+					t.Errorf("%+v: Words %d, New allocates %d", cfg, w, got)
+				}
+				in, err := NewIn(cfg, make([]uint64, got))
+				if err != nil {
+					t.Fatalf("%+v: NewIn on exactly Words slots: %v", cfg, err)
+				}
+				carved := 0
+				for _, tr := range in.tiers {
+					carved += len(tr.slots)
+				}
+				if carved != got {
+					t.Errorf("%+v: NewIn carves %d slots, want %d", cfg, carved, got)
+				}
+				if got > 0 {
+					if _, err := NewIn(cfg, make([]uint64, got-1)); err == nil {
+						t.Errorf("%+v: NewIn accepted a buffer one slot short", cfg)
+					}
+				}
+			}
+		}
+	}
+	if w := Words(Config{Sizes: []int{3}, UnitSets: 8, Ways: 4}); w != 0 {
+		t.Errorf("invalid config needs no slots, Words = %d", w)
+	}
+	cfg := Config{Sizes: []int{1, 2, 4, 8, 16, 32, 64, 128}, UnitSets: 16, Ways: 4}
+	if n := testing.AllocsPerRun(10, func() { Words(cfg) }); n != 0 {
+		t.Errorf("Words allocates %v times", n)
+	}
+}

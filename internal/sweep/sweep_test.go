@@ -309,9 +309,10 @@ func TestExecuteMemoAmplification(t *testing.T) {
 	if res.Stats.ProfileRuns != 1 {
 		t.Errorf("execution-side axes must share ONE profile stage, got %+v", res.Stats)
 	}
-	// Distinct work that must not be shared: 2 optimizes (solver), 2
-	// shared runs (migration), 4 partitioned runs (migration × alloc).
-	if res.Stats.OptimizeRuns != 2 || res.Stats.RunRuns != 6 {
+	// Distinct work that must not be shared: 2 optimizes (solver), 1
+	// shared run (migration on; the migration-off baseline is the
+	// profile's repetition 0), 4 partitioned runs (migration × alloc).
+	if res.Stats.OptimizeRuns != 2 || res.Stats.RunRuns != 5 {
 		t.Errorf("unexpected stage sharing: %+v", res.Stats)
 	}
 	if res.Stats.MemoHits == 0 {
